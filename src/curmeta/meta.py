@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -43,6 +44,18 @@ class GradientMode(str, Enum):
     FIRST = "first"
 
 
+def _check_types(config, reals=(), integers=()):
+    """Reject non-finite or non-numeric rates and counts that are not plain ints."""
+    for name in reals:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for name in integers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MetaConfig:
     """All hyperparameters of the meta-training phase."""
@@ -62,6 +75,11 @@ class MetaConfig:
     def __post_init__(self):
         object.__setattr__(self, "sampler", SamplerKind(self.sampler))
         object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
+        _check_types(
+            self,
+            reals=("adaptation_rate", "meta_rate"),
+            integers=("meta_updates", "inner_steps", "n_tr", "n_val", "meta_batch_size", "seed"),
+        )
         if self.adaptation_rate < 0 or self.meta_rate < 0:
             raise ValueError("learning rates must be >= 0")
         if self.meta_updates < 0:
@@ -83,6 +101,7 @@ class FineTuneConfig:
     epochs: int = 200
 
     def __post_init__(self):
+        _check_types(self, reals=("learning_rate",), integers=("batch_size", "epochs"))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -122,7 +141,8 @@ class NetLoss:
     """Cross-entropy objective of a net, exposed as loss/grad/Hessian-vector callables.
 
     Anything with this interface can drive the adaptation and meta-gradient
-    machinery; tests use closed-form objectives the same way.
+    machinery; tests use closed-form objectives the same way.  ``grad`` must
+    also take params with a leading episode axis (see ``meta_gradient``).
     """
 
     def __init__(self, arch: Architecture):
@@ -154,16 +174,37 @@ def inner_adapt(objective, params: ParamVector, support: Batch, alpha: float, st
     return _unroll(objective, params, support, alpha, steps)[-1]
 
 
-def _episode_meta_gradient(objective, trajectory, support, query, alpha, mode):
-    adapted = trajectory[-1]
-    v = objective.grad(adapted, query)
-    if mode is GradientMode.FIRST:
-        return v
-    # reverse sweep through theta_{k+1} = theta_k - alpha * g(theta_k):
-    # v <- (I - alpha * H(theta_k)) v at every inner step
-    for theta in reversed(trajectory[:-1]):
-        v = v - alpha * objective.hvp(theta, support, v)
-    return v
+def _stack(batches):
+    """Episode batches with a leading episode axis; other objectives get the tuple."""
+    batches = tuple(batches)
+    if all(isinstance(b, Batch) for b in batches):
+        return Batch.stack(batches)
+    return batches
+
+
+def _meta_gradient(objective, params, episodes, alpha, steps, mode):
+    """Meta-gradient and stacked adaptation trajectory of a meta-batch.
+
+    The unroll and the query gradient run once for all episodes: theta has a
+    leading episode axis (B, P) and the episode batches are stacked.  The
+    reverse sweep runs per episode, through theta_{k+1} = theta_k - alpha *
+    g(theta_k): v <- (I - alpha * H(theta_k)) v at every inner step.
+    """
+    mode = GradientMode(mode)
+    episodes = list(episodes)
+    if not episodes:
+        raise ValueError("meta_gradient needs at least one episode")
+    params = np.asarray(params, dtype=np.float64)
+    theta = np.repeat(params[None, :], len(episodes), axis=0)
+    trajectory = _unroll(objective, theta, _stack(ep.support for ep in episodes), alpha, steps)
+    query_grads = objective.grad(trajectory[-1], _stack(ep.query for ep in episodes))
+    total = np.zeros_like(params)
+    for b, (ep, v) in enumerate(zip(episodes, query_grads)):
+        if mode is GradientMode.SECOND:
+            for theta in reversed(trajectory[:-1]):
+                v = v - alpha * objective.hvp(theta[b], ep.support, v)
+        total += v
+    return total, trajectory
 
 
 def meta_gradient(
@@ -176,22 +217,17 @@ def meta_gradient(
 ) -> ParamVector:
     """Gradient w.r.t. the initialization of the summed post-adaptation query losses.
 
-    Episodes are processed and accumulated in the given order.
+    ``objective.grad`` receives params with a leading episode axis and the
+    episodes' batches stacked (``Batch.stack``; objectives whose batches are
+    not ``Batch`` get the tuple of them), and ``objective.hvp`` one episode
+    at a time.  Per-episode gradients are accumulated in the given order.
     """
-    mode = GradientMode(mode)
-    episodes = list(episodes)
-    if not episodes:
-        raise ValueError("meta_gradient needs at least one episode")
-    total = np.zeros_like(np.asarray(params, dtype=np.float64))
-    for ep in episodes:
-        trajectory = _unroll(objective, params, ep.support, alpha, steps)
-        total += _episode_meta_gradient(objective, trajectory, ep.support, ep.query, alpha, mode)
-    return total
+    return _meta_gradient(objective, params, episodes, alpha, steps, mode)[0]
 
 
 def positive_probability(arch: Architecture, params: ParamVector, inputs) -> np.ndarray:
-    """Softmax probability of class 1 per sample."""
-    return nets.softmax(nets.forward(arch, params, inputs))[:, 1]
+    """Softmax probability of class 1 per sample (per episode and sample when stacked)."""
+    return nets.softmax(nets.forward(arch, params, inputs))[..., 1]
 
 
 def infer(model: TrainedModel, inputs) -> np.ndarray:
@@ -331,28 +367,19 @@ def meta_train(
                     f"meta-update {iteration}, task {task.id}: {e}"
                 ) from e
 
-        grad_total = np.zeros_like(params)
-        auc_before, auc_after = [], []
-        for ep in episodes:
-            trajectory = _unroll(
-                objective, params, ep.support, config.adaptation_rate, config.inner_steps
-            )
-            before = compute_auc(
-                positive_probability(arch, params, ep.query.inputs), ep.query.labels
-            )
-            after = compute_auc(
-                positive_probability(arch, trajectory[-1], ep.query.inputs), ep.query.labels
-            )
-            auc_before.append(before)
-            auc_after.append(after)
-            grad_total += _episode_meta_gradient(
-                objective,
-                trajectory,
-                ep.support,
-                ep.query,
-                config.adaptation_rate,
-                config.gradient_mode,
-            )
+        grad_total, trajectory = _meta_gradient(
+            objective,
+            params,
+            episodes,
+            config.adaptation_rate,
+            config.inner_steps,
+            config.gradient_mode,
+        )
+        query = Batch.stack(ep.query for ep in episodes)
+        prob_before = positive_probability(arch, trajectory[0], query.inputs)
+        prob_after = positive_probability(arch, trajectory[-1], query.inputs)
+        auc_before = [compute_auc(p, y) for p, y in zip(prob_before, query.labels)]
+        auc_after = [compute_auc(p, y) for p, y in zip(prob_after, query.labels)]
 
         params = params - config.meta_rate * grad_total
         if not np.all(np.isfinite(params)):

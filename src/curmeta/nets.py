@@ -5,6 +5,13 @@ layout is fixed by the architecture: for each layer, the weight matrix
 (row-major, shape fan_in x fan_out) followed by the bias vector.  Everything in
 this module is a pure function of its inputs; there is no hidden state, so
 callers may evaluate concurrently without synchronization.
+
+``forward`` and ``grad`` also take a leading episode axis: with params of
+shape (B, P), inputs (B, n, d) and labels (B, n), episode b is evaluated at
+its own parameter row on its own batch, and the result has a leading axis of
+B.  Row b of a stacked call carries the same bits as the plain call on
+episode b alone, so a meta-batch can be evaluated in one call without
+changing any number.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ class Architecture:
             raise ValueError(f"output width must be >= 2, got {widths[-1]}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
+        # per layer: where W starts, where b starts and ends in the flat vector, W's shape
+        layout, offset = [], 0
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            end_w = offset + fan_in * fan_out
+            layout.append((offset, end_w, end_w + fan_out, (fan_in, fan_out)))
+            offset = end_w + fan_out
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def input_dim(self) -> int:
@@ -58,22 +72,22 @@ class Architecture:
         return sum((a + 1) * b for a, b in zip(self.layer_widths[:-1], self.layer_widths[1:]))
 
     def unpack(self, params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Split a flat parameter vector into per-layer (W, b) views."""
-        params = _check_params(self, params)
-        layers = []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_widths[:-1], self.layer_widths[1:]):
-            w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            b = params[offset : offset + fan_out]
-            offset += fan_out
-            layers.append((w, b))
-        return layers
+        """Split a flat parameter vector into per-layer (W, b) views.
+
+        Stacked params (B, P) give stacked views: W is (B, fan_in, fan_out)
+        and b is (B, 1, fan_out), which broadcasts over each episode's samples.
+        """
+        return _unpack(self, _check_params(self, params))
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A labelled sample batch: inputs (n x d) and binary labels (n,)."""
+    """A labelled sample batch: inputs (n x d) and binary labels (n,).
+
+    With a leading episode axis, inputs are (B, n, d) and labels (B, n): B
+    episodes of n samples each, as built by ``Batch.stack``.  ``len`` is the
+    size of the leading axis.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -81,13 +95,15 @@ class Batch:
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be a 2-D matrix, got shape {inputs.shape}")
-        if inputs.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if labels.shape != (inputs.shape[0],):
+        if inputs.ndim not in (2, 3):
             raise ValueError(
-                f"labels shape {labels.shape} does not match {inputs.shape[0]} samples"
+                f"inputs must be (n, d), or (B, n, d) with an episode axis, got shape {inputs.shape}"
+            )
+        if 0 in inputs.shape[:-1]:
+            raise ValueError("batch must contain at least one sample")
+        if labels.shape != inputs.shape[:-1]:
+            raise ValueError(
+                f"labels shape {labels.shape} does not match inputs of shape {inputs.shape}"
             )
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be 0 or 1")
@@ -96,6 +112,15 @@ class Batch:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+    @classmethod
+    def stack(cls, batches) -> "Batch":
+        """One batch with a leading episode axis from equally sized plain batches."""
+        batches = list(batches)
+        shapes = {b.inputs.shape for b in batches}
+        if len(shapes) != 1:
+            raise ValueError(f"stacked batches must share one shape, got {sorted(shapes)}")
+        return cls(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
 
 
 def init_params(arch: Architecture, rng: np.random.Generator) -> ParamVector:
@@ -110,19 +135,35 @@ def init_params(arch: Architecture, rng: np.random.Generator) -> ParamVector:
 
 def _check_params(arch: Architecture, params: ParamVector) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (arch.param_count,):
+    if params.ndim not in (1, 2) or params.shape[-1] != arch.param_count:
         raise ValueError(
-            f"parameter vector has shape {params.shape}, architecture needs ({arch.param_count},)"
+            f"parameter vector has shape {params.shape}, architecture needs "
+            f"({arch.param_count},) or (B, {arch.param_count})"
         )
     return params
 
 
-def _check_inputs(arch: Architecture, inputs: np.ndarray) -> np.ndarray:
+def _unpack(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    if params.ndim == 1:
+        return [(params[w:b].reshape(shape), params[b:end]) for w, b, end, shape in arch._layout]
+    lead = params.shape[:1]
+    return [
+        (params[:, w:b].reshape(lead + shape), params[:, None, b:end])
+        for w, b, end, shape in arch._layout
+    ]
+
+
+def _check_inputs(arch: Architecture, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Inputs as float64, with the same episode axis as the checked ``params``."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"inputs must have shape (n, {arch.input_dim}), got {inputs.shape}"
-        )
+    if (
+        inputs.ndim != params.ndim + 1
+        or inputs.shape[:-2] != params.shape[:-1]
+        or inputs.shape[-1] != arch.input_dim
+    ):
+        lead = "" if params.ndim == 1 else f"{params.shape[0]}, "
+        want = f"({lead}n, {arch.input_dim})"
+        raise ValueError(f"inputs must have shape {want}, got {inputs.shape}")
     return inputs
 
 
@@ -133,15 +174,16 @@ def _activate(arch: Architecture, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_deriv(arch: Architecture, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # relu derivative at exactly 0 is taken as 0 so repeated runs are reproducible
+    # relu derivative at exactly 0 is taken as 0 so repeated runs are reproducible;
+    # the boolean mask multiplies like 1.0 / 0.0
     if arch.activation == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     return 1.0 - a * a
 
 
 def _forward_trace(arch, params, inputs):
     """Forward pass keeping pre-activations and activations for backprop."""
-    layers = arch.unpack(params)
+    layers = _unpack(arch, params)
     acts = [inputs]  # a_0 .. a_{L-1}
     zs = []  # z_1 .. z_L
     a = inputs
@@ -154,19 +196,29 @@ def _forward_trace(arch, params, inputs):
     return layers, acts, zs
 
 
+def _logit_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy w.r.t. the logits: (softmax - one-hot) / n."""
+    onehot = labels[..., None] == np.arange(probs.shape[-1])
+    return (probs - onehot) / probs.shape[-2]
+
+
 def forward(arch: Architecture, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Logits (n x output_dim) of the net at ``params`` on ``inputs``."""
-    inputs = _check_inputs(arch, inputs)
+    """Logits (n x output_dim) of the net at ``params`` on ``inputs``.
+
+    Stacked params (B, P) and inputs (B, n, d) give logits (B, n, output_dim).
+    """
+    params = _check_params(arch, params)
+    inputs = _check_inputs(arch, params, inputs)
     _, _, zs = _forward_trace(arch, params, inputs)
     return zs[-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
+    """Row-wise softmax over the last axis, stabilized by max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -195,25 +247,26 @@ def batch_loss(arch: Architecture, params: ParamVector, batch: Batch) -> float:
 
 
 def grad(arch: Architecture, params: ParamVector, batch: Batch) -> ParamVector:
-    """Exact reverse-mode gradient of the batch cross-entropy w.r.t. params."""
-    inputs = _check_inputs(arch, batch.inputs)
+    """Exact reverse-mode gradient of the batch cross-entropy w.r.t. params.
+
+    Stacked params (B, P) and a stacked batch give a (B, P) result whose row b
+    is the gradient of episode b's own mean loss.
+    """
+    params = _check_params(arch, params)
+    inputs = _check_inputs(arch, params, batch.inputs)
     layers, acts, zs = _forward_trace(arch, params, inputs)
-    n = inputs.shape[0]
+    delta = _logit_delta(softmax(zs[-1]), batch.labels)
 
-    delta = softmax(zs[-1])
-    delta[np.arange(n), batch.labels] -= 1.0
-    delta /= n
-
-    grads = [None] * len(layers)
+    flat = params.shape[:-1] + (-1,)
+    grads = []  # per layer gb then gw, output layer first
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
+        grads.append(delta.sum(axis=-2))
+        grads.append((acts[i].swapaxes(-1, -2) @ delta).reshape(flat))
         if i > 0:
             d = _activation_deriv(arch, zs[i - 1], acts[i])
-            delta = (delta @ w.T) * d
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            delta = (delta @ w.swapaxes(-1, -2)) * d
+    return np.concatenate(grads[::-1], axis=-1)
 
 
 def hessian_vector_product(
@@ -225,49 +278,50 @@ def hessian_vector_product(
     the forward pass and then through backprop, which differentiates the
     gradient computation itself (no finite differencing anywhere).
     """
-    inputs = _check_inputs(arch, batch.inputs)
+    params = _check_params(arch, params)
+    if params.ndim != 1:
+        raise ValueError(f"parameter vector has shape {params.shape}, need ({arch.param_count},)")
+    inputs = _check_inputs(arch, params, batch.inputs)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (arch.param_count,):
         raise ValueError(f"direction vector has shape {v.shape}, need ({arch.param_count},)")
     layers, acts, zs = _forward_trace(arch, params, inputs)
-    vlayers = arch.unpack(v)
-    n = inputs.shape[0]
+    vlayers = _unpack(arch, v)
     n_layers = len(layers)
+    # derivs[i] is the activation derivative at hidden layer i + 1
+    derivs = [_activation_deriv(arch, z, a) for z, a in zip(zs, acts[1:])]
 
     # Tangent forward pass: r_acts[i] is the directional derivative of acts[i].
-    r_acts = [np.zeros_like(inputs)]
-    r_zs = []
-    for i, ((w, _), (vw, vb)) in enumerate(zip(layers, vlayers)):
+    # The inputs do not depend on the params, so r_acts[0] is zero and is left
+    # out of both sweeps.
+    r_acts = [None]
+    rz = acts[0] @ vlayers[0][0] + vlayers[0][1]
+    for i in range(1, n_layers):
+        r_acts.append(derivs[i - 1] * rz)
+        (w, _), (vw, vb) = layers[i], vlayers[i]
         rz = r_acts[i] @ w + acts[i] @ vw + vb
-        r_zs.append(rz)
-        if i < n_layers - 1:
-            d = _activation_deriv(arch, zs[i], acts[i + 1])
-            r_acts.append(d * rz)
 
     p = softmax(zs[-1])
-    rz = r_zs[-1]
     rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
-
-    delta = p.copy()
-    delta[np.arange(n), batch.labels] -= 1.0
-    delta /= n
+    n = inputs.shape[0]
+    delta = _logit_delta(p, batch.labels)
     r_delta = rp / n
 
-    hv = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
+    hv = []  # per layer r_gb then r_gw, output layer first
+    for i in range(n_layers - 1, 0, -1):
+        hv.append(r_delta.sum(axis=0))
+        hv.append((r_acts[i].T @ delta + acts[i].T @ r_delta).ravel())
         w, _ = layers[i]
         vw, _ = vlayers[i]
-        r_gw = r_acts[i].T @ delta + acts[i].T @ r_delta
-        r_gb = r_delta.sum(axis=0)
-        hv[i] = (r_gw, r_gb)
-        if i > 0:
-            d = _activation_deriv(arch, zs[i - 1], acts[i])
-            s = delta @ w.T
-            r_s = r_delta @ w.T + delta @ vw.T
-            new_delta = s * d
-            new_r_delta = r_s * d
-            if arch.activation == "tanh":
-                # d = 1 - a^2, so the tangent of d is -2 a r_a
-                new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
-            delta, r_delta = new_delta, new_r_delta
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in hv])
+        d = derivs[i - 1]
+        s = delta @ w.T
+        r_s = r_delta @ w.T + delta @ vw.T
+        new_delta = s * d
+        new_r_delta = r_s * d
+        if arch.activation == "tanh":
+            # d = 1 - a^2, so the tangent of d is -2 a r_a
+            new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
+        delta, r_delta = new_delta, new_r_delta
+    hv.append(r_delta.sum(axis=0))
+    hv.append((acts[0].T @ r_delta).ravel())
+    return np.concatenate(hv[::-1])

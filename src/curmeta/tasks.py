@@ -324,11 +324,14 @@ def read_samples(path) -> tuple[SourceSample, ...]:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("subject_id\tclass"):
         raise ValueError(f"{path}: not a sample table (bad header)")
+    width = len(lines[0].split("\t"))
     out = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) < 3:
             raise ValueError(f"{path}:{ln}: expected subject_id, class and features")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{ln}: {len(parts)} fields, the header has {width}")
         out.append(
             SourceSample(
                 np.array([float(x) for x in parts[2:]]),
@@ -355,6 +358,9 @@ def write_split_dataset(directory, data: SplitDataset) -> dict[str, Path]:
 
 def read_split_dataset(directory) -> SplitDataset:
     directory = Path(directory)
-    return SplitDataset(
+    data = SplitDataset(
         *(read_samples(directory / filename) for filename in SPLIT_FILES.values())
     )
+    if not data.train:
+        raise ValueError(f"{directory / SPLIT_FILES['train']}: the train split has no samples")
+    return data

@@ -104,3 +104,62 @@ class ReferenceSampler:
         buf.append(value)
         if len(buf) > self.capacity:
             del buf[0]
+
+
+def reference_meta_train(arch, config, data, pool):
+    """Meta-training the slow way: one episode at a time through plain 2-D calls.
+
+    Keeps the library's draw order (``SeedSequence(seed).spawn(3)`` for the
+    init, episode and sampler streams; episodes drawn in batch order) and its
+    float order (per-episode meta-gradients summed into a zero vector in batch
+    order), but shares no meta-learning code with it; the sampler is
+    ``ReferenceSampler``.  Returns the final params and, per update, the tuple
+    (tasks, auc_before, auc_after, observations, rewards, grad_norm).
+    """
+    from curmeta import nets
+    from curmeta.metrics import compute_auc
+    from curmeta.tasks import sample_episode
+
+    init_ss, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
+    params = nets.init_params(arch, np.random.default_rng(init_ss))
+    episode_rng = np.random.default_rng(episode_ss)
+    sampler = ReferenceSampler(config.sampler.value, np.random.default_rng(sampler_ss))
+    alpha = config.adaptation_rate
+
+    def query_auc(p, ep):
+        probs = nets.softmax(nets.forward(arch, p, ep.query.inputs))[:, 1]
+        return compute_auc(probs, ep.query.labels)
+
+    rows = []
+    for _ in range(config.meta_updates):
+        tasks = sampler.select_batch(pool, config.meta_batch_size)
+        episodes = [
+            sample_episode(t, data.train, config.n_tr, config.n_val, episode_rng) for t in tasks
+        ]
+        total = np.zeros_like(params)
+        before, after = [], []
+        for ep in episodes:
+            trajectory = [params.copy()]
+            for _ in range(config.inner_steps):
+                theta = trajectory[-1]
+                trajectory.append(theta - alpha * nets.grad(arch, theta, ep.support))
+            v = nets.grad(arch, trajectory[-1], ep.query)
+            if config.gradient_mode.value == "second":
+                for theta in reversed(trajectory[:-1]):
+                    v = v - alpha * nets.hessian_vector_product(arch, theta, ep.support, v)
+            total += v
+            before.append(query_auc(params, ep))
+            after.append(query_auc(trajectory[-1], ep))
+        params = params - config.meta_rate * total
+        outcomes = [sampler.record(t, b, a) for t, b, a in zip(tasks, before, after)]
+        rows.append(
+            (
+                tuple(t.id for t in tasks),
+                tuple(before),
+                tuple(after),
+                tuple(obs for obs, _ in outcomes),
+                tuple(rew for _, rew in outcomes),
+                float(np.linalg.norm(total)),
+            )
+        )
+    return params, rows

@@ -248,6 +248,18 @@ def test_fine_tune_missing_checkpoint_fails_cleanly(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err.startswith("[fine-tune]")
 
 
+def test_meta_train_empty_train_split_fails_cleanly(tmp_path, data_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    header = (data / "train.tsv").read_text().splitlines()[0]
+    (data / "train.tsv").write_text(header + "\n")
+    rc = main(["meta-train", "--out", str(tmp_path / "out"), "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[meta-train]")
+    assert str(data / "train.tsv") in err
+
+
 # ------------------------------------------------------------------- curves
 
 

@@ -36,7 +36,7 @@ from curmeta.tasks import (
     generate_source,
     map_labels,
 )
-from oracles import central_fd, max_rel_error
+from oracles import central_fd, max_rel_error, reference_meta_train
 
 
 class Quadratic:
@@ -112,6 +112,33 @@ def test_fine_tune_config_validation():
         FineTuneConfig(batch_size=0)
     with pytest.raises(ValueError):
         FineTuneConfig(epochs=-1)
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (MetaConfig, "adaptation_rate", float("nan")),
+        (MetaConfig, "meta_rate", float("inf")),
+        (MetaConfig, "adaptation_rate", True),
+        (MetaConfig, "meta_updates", 3.5),
+        (MetaConfig, "meta_updates", True),
+        (MetaConfig, "meta_batch_size", 2.0),
+        (MetaConfig, "inner_steps", "5"),
+        (MetaConfig, "seed", 1.0),
+        (FineTuneConfig, "learning_rate", float("nan")),
+        (FineTuneConfig, "learning_rate", float("inf")),
+        (FineTuneConfig, "epochs", 2.5),
+        (FineTuneConfig, "batch_size", True),
+    ],
+)
+def test_configs_reject_non_finite_rates_and_non_int_counts(make, name, value):
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+
+
+def test_configs_accept_integer_rates():
+    assert MetaConfig(adaptation_rate=0, meta_rate=1).meta_rate == 1
+    assert FineTuneConfig(learning_rate=1).learning_rate == 1
 
 
 def test_config_to_dict_flattens_enums():
@@ -326,6 +353,31 @@ def test_meta_train_returns_model_and_full_log(small_arch, small_data):
         assert r.grad_norm >= 0.0
     assert model.provenance.log_hash == log.content_hash()
     assert model.provenance.config["meta_updates"] == 3
+
+
+@pytest.mark.parametrize("mode, sampler", [("second", "cl"), ("first", "mab")])
+def test_meta_train_matches_per_episode_reference(small_arch, small_data, mode, sampler):
+    cfg = quick_config(
+        meta_updates=8, inner_steps=3, meta_batch_size=3, gradient_mode=mode, sampler=sampler, seed=6
+    )
+    # the first five updates fill the pool's buffers; the last three draw from them
+    model, log = meta_train(small_arch, cfg, small_data)
+    params, rows = reference_meta_train(small_arch, cfg, small_data, list(TASKS))
+    assert np.array_equal(model.params, params)
+    got = [
+        (r.tasks, r.auc_before, r.auc_after, r.observations, r.rewards, r.grad_norm)
+        for r in log.records
+    ]
+    assert got == rows
+
+
+def test_meta_gradient_needs_equally_sized_episodes(small_arch, small_data, rng):
+    from curmeta.tasks import sample_episode
+
+    params = init_params(small_arch, rng)
+    episodes = [sample_episode(K5, small_data.train, n, 4, rng) for n in (4, 6)]
+    with pytest.raises(ValueError, match="share one shape"):
+        meta_gradient(NetLoss(small_arch), params, episodes, alpha=0.1, steps=1)
 
 
 def test_meta_train_deterministic(small_arch, small_data):

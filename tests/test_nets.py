@@ -343,6 +343,75 @@ def test_hvp_rejects_bad_direction_shape(rng):
         hessian_vector_product(arch, params, batch, np.zeros(arch.param_count + 2))
 
 
+# ------------------------------------------------------------ episode axis
+
+
+@pytest.mark.parametrize("widths", [(5, 7, 2), (5, 7, 3, 2)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("episodes", [1, 5])
+@pytest.mark.parametrize("n", [4, 23])
+def test_stacked_calls_equal_per_episode_calls(widths, activation, episodes, n):
+    rng = np.random.default_rng(31 * episodes + n)
+    arch = Architecture(widths, activation=activation)
+    params = np.stack([init_params(arch, rng) for _ in range(episodes)])
+    batches = [tiny_batch(rng, n, widths[0]) for _ in range(episodes)]
+    stacked = Batch.stack(batches)
+    logits = forward(arch, params, stacked.inputs)
+    g = grad(arch, params, stacked)
+    assert logits.shape == (episodes, n, widths[-1])
+    assert g.shape == params.shape
+    for b, batch in enumerate(batches):
+        assert np.array_equal(logits[b], forward(arch, params[b], batch.inputs))
+        assert np.array_equal(g[b], grad(arch, params[b], batch))
+
+
+def test_batch_stack_builds_episode_axis(rng):
+    batches = [tiny_batch(rng, 4, 3) for _ in range(2)]
+    stacked = Batch.stack(batches)
+    assert stacked.inputs.shape == (2, 4, 3)
+    assert stacked.labels.shape == (2, 4)
+    assert len(stacked) == 2
+    assert np.array_equal(stacked.labels[1], batches[1].labels)
+    with pytest.raises(ValueError, match="share one shape"):
+        Batch.stack([tiny_batch(rng, 4, 3), tiny_batch(rng, 6, 3)])
+    with pytest.raises(ValueError, match="inputs must be"):
+        Batch.stack([stacked])
+    with pytest.raises(ValueError):
+        Batch(np.zeros((2, 4, 3)), np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError):
+        Batch(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int))
+    with pytest.raises(ValueError):
+        Batch(np.zeros((2, 2, 4, 3)), np.zeros((2, 2, 4), dtype=int))
+
+
+def test_stacked_unpack_shapes():
+    arch = Architecture((5, 7, 2))
+    params = np.arange(3 * arch.param_count, dtype=np.float64).reshape(3, arch.param_count)
+    (w1, b1), (w2, b2) = arch.unpack(params)
+    assert [w1.shape, b1.shape, w2.shape, b2.shape] == [(3, 5, 7), (3, 1, 7), (3, 7, 2), (3, 1, 2)]
+    for b in range(3):
+        (v1, c1), (v2, c2) = arch.unpack(params[b])
+        assert np.array_equal(w1[b], v1) and np.array_equal(b1[b, 0], c1)
+        assert np.array_equal(w2[b], v2) and np.array_equal(b2[b, 0], c2)
+
+
+def test_episode_axes_must_agree(rng):
+    arch = Architecture((3, 4, 2))
+    params = np.stack([init_params(arch, rng) for _ in range(2)])
+    stacked = Batch.stack([tiny_batch(rng, 4, 3) for _ in range(3)])
+    plain = tiny_batch(rng, 4, 3)
+    with pytest.raises(ValueError, match="inputs must have shape"):
+        grad(arch, params, stacked)
+    with pytest.raises(ValueError, match="inputs must have shape"):
+        forward(arch, params, plain.inputs)
+    with pytest.raises(ValueError, match="inputs must have shape"):
+        forward(arch, params[0], stacked.inputs)
+    with pytest.raises(ValueError, match="parameter vector"):
+        grad(arch, np.zeros((2, 2, arch.param_count)), plain)
+    with pytest.raises(ValueError, match="parameter vector"):
+        hessian_vector_product(arch, params, stacked, params)
+
+
 # ------------------------------------------------------------ property based
 
 

@@ -1,5 +1,7 @@
 """Tests for the task taxonomy, Gaussian source and episode sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,3 +312,24 @@ def test_split_dataset_round_trip(tmp_path, small_data):
         for orig, rt in zip(orig_split, rt_split):
             assert np.array_equal(orig.features, rt.features)
             assert orig.subject_id == rt.subject_id
+
+
+@pytest.mark.parametrize("edit", ["drop_feature", "extra_field"])
+def test_read_samples_rejects_row_of_wrong_width(tmp_path, small_data, edit):
+    path = tmp_path / "samples.tsv"
+    write_samples(path, small_data.train[:3])
+    lines = path.read_text().splitlines()
+    if edit == "drop_feature":
+        lines[2] = lines[2].rsplit("\t", 1)[0]
+    else:
+        lines[2] += "\t0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+        read_samples(path)
+
+
+def test_read_split_dataset_rejects_empty_train_split(tmp_path, small_data):
+    write_split_dataset(tmp_path, small_data)
+    write_samples(tmp_path / "train.tsv", [])
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'train.tsv'}: ")):
+        read_split_dataset(tmp_path)
