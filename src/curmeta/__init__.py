@@ -47,6 +47,7 @@ from .meta import (
     TrainedModel,
     fine_tune,
     infer,
+    initial_params,
     inner_adapt,
     load_checkpoint,
     meta_gradient,

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import nets
 from .metrics import compute_auc
 from .meta import (
     FineTuneConfig,
@@ -35,6 +35,7 @@ from .meta import (
     config_to_dict,
     fine_tune,
     infer,
+    initial_params,
     meta_train,
     multitask_train,
     save_checkpoint,
@@ -82,6 +83,98 @@ def write_manifest(out_dir, paths, config: dict | None = None, seeds: dict | Non
     return manifest
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError of stage ``name``."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as e:
+        raise StageError(name, str(e)) from e
+
+
+class _Run:
+    """One run directory on its way through the pipeline stages after data generation.
+
+    ``run_pipeline`` drives one of these; ``run_sweep`` drives every variant
+    of a repetition through the same stages, fine-tuning them together.
+    """
+
+    def __init__(self, recipe, out_dir, data_seed: int, run_seed: int):
+        self.recipe = recipe
+        self.out_dir = Path(out_dir)
+        self.data_seed = data_seed
+        self.run_seed = run_seed
+        self.written: list[Path] = []
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def write_data(self, data) -> None:
+        with _stage("generate"):
+            self.written += write_split_dataset(self.out_dir / "data", data).values()
+
+    def pretrain(self, arch, data, mt_iterations: int, mt_rate: float) -> TrainedModel:
+        with _stage("meta-train"):
+            if isinstance(self.recipe, MetaConfig):
+                model, log = meta_train(arch, replace(self.recipe, seed=self.run_seed), data)
+                log_path = self.out_dir / "run_log.tsv"
+                log_path.write_text(log.to_tsv())
+                self.written.append(log_path)
+            elif self.recipe == "plain":
+                params = initial_params(arch, self.run_seed)
+                model = TrainedModel(arch, params, Provenance({"baseline": "plain"}, self.run_seed))
+            else:
+                model = multitask_train(
+                    arch,
+                    TASKS,
+                    data,
+                    learning_rate=mt_rate,
+                    iterations=mt_iterations,
+                    rng=derive_stream(self.run_seed, 2),
+                )
+        return model
+
+    def finish(self, final, data) -> dict:
+        """Checkpoint and score the fine-tuned model (or re-raise its fine-tune failure)."""
+        with _stage("fine-tune"):
+            if isinstance(final, Exception):
+                raise final
+            ckpt_path = self.out_dir / "checkpoint.json"
+            save_checkpoint(ckpt_path, final)
+            self.written.append(ckpt_path)
+        with _stage("evaluate"):
+            test = map_labels(K5, data.test)
+            test_auc = compute_auc(infer(final, test.inputs), test.labels)
+
+        meta = isinstance(self.recipe, MetaConfig)
+        kind = "meta" if meta else self.recipe
+        result = {
+            "kind": kind,
+            "data_seed": self.data_seed,
+            "run_seed": self.run_seed,
+            "test_auc": test_auc,
+            "config": config_to_dict(self.recipe) if meta else {},
+        }
+        result_path = self.out_dir / "result.json"
+        result_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        self.written.append(result_path)
+        write_manifest(
+            self.out_dir,
+            self.written,
+            config=result["config"] if result["config"] else {"pretrain": kind},
+            seeds={"data_seed": self.data_seed, "run_seed": self.run_seed},
+        )
+        return result
+
+
+def _fine_tune_all(models, data, ft: FineTuneConfig, run_seed: int) -> list:
+    """Fine-tune models of one run seed in lockstep; entry b is a model or its failure."""
+    try:
+        return fine_tune(models, K5, data, ft, rng=derive_stream(run_seed, 1))
+    except Exception as e:
+        return [e] * len(models)
+
+
 def run_pipeline(
     recipe,
     out_dir,
@@ -102,80 +195,18 @@ def run_pipeline(
     joint multi-head baseline.  Artifacts: data/ split TSVs, run_log.tsv (meta
     only), checkpoint.json (fine-tuned model), result.json, manifest.json.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = _Run(recipe, out_dir, data_seed, run_seed)
     ft = ft if ft is not None else FineTuneConfig()
     if isinstance(recipe, str) and recipe not in BASELINE_KINDS:
         raise StageError("pretrain", f"unknown pipeline designator {recipe!r}")
-
-    try:
+    with _stage("generate"):
         src = source if source is not None else SourceConfig(seed=data_seed)
         data = generate_source(src, n_subjects)
-        written = list(write_split_dataset(out_dir / "data", data).values())
-    except Exception as e:
-        raise StageError("generate", str(e)) from e
-
+    run.write_data(data)
     arch = arch if arch is not None else default_architecture(src.dim)
-    log = None
-    try:
-        if isinstance(recipe, MetaConfig):
-            config = replace(recipe, seed=run_seed)
-            pretrained, log = meta_train(arch, config, data)
-            log_path = out_dir / "run_log.tsv"
-            log_path.write_text(log.to_tsv())
-            written.append(log_path)
-            kind = "meta"
-        elif recipe == "plain":
-            init_ss = np.random.SeedSequence(run_seed).spawn(3)[0]
-            params = nets.init_params(arch, np.random.default_rng(init_ss))
-            pretrained = TrainedModel(arch, params, Provenance({"baseline": "plain"}, run_seed))
-            kind = "plain"
-        else:
-            pretrained = multitask_train(
-                arch,
-                TASKS,
-                data,
-                learning_rate=mt_rate,
-                iterations=mt_iterations,
-                rng=derive_stream(run_seed, 2),
-            )
-            kind = "multitask"
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("meta-train", str(e)) from e
-
-    try:
-        final = fine_tune(pretrained, K5, data, ft, rng=derive_stream(run_seed, 1))
-        ckpt_path = out_dir / "checkpoint.json"
-        save_checkpoint(ckpt_path, final)
-        written.append(ckpt_path)
-    except Exception as e:
-        raise StageError("fine-tune", str(e)) from e
-
-    try:
-        test = map_labels(K5, data.test)
-        test_auc = compute_auc(infer(final, test.inputs), test.labels)
-    except Exception as e:
-        raise StageError("evaluate", str(e)) from e
-
-    result = {
-        "kind": kind,
-        "data_seed": data_seed,
-        "run_seed": run_seed,
-        "test_auc": test_auc,
-        "config": config_to_dict(recipe) if isinstance(recipe, MetaConfig) else {},
-    }
-    result_path = out_dir / "result.json"
-    result_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    written.append(result_path)
-    write_manifest(
-        out_dir,
-        written,
-        config=result["config"] if result["config"] else {"pretrain": kind},
-        seeds={"data_seed": data_seed, "run_seed": run_seed},
-    )
-    return result
+    model = run.pretrain(arch, data, mt_iterations, mt_rate)
+    [final] = _fine_tune_all([model], data, ft, run_seed)
+    return run.finish(final, data)
 
 
 # --- result tables --------------------------------------------------------------
@@ -397,44 +428,68 @@ def default_plan(
 
 
 def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
-    """Run every variant of the plan serially and write results.json / results.txt.
+    """Run every variant of the plan and write results.json / results.txt.
 
     Repetition r uses data seed ``data_seed + r`` and run seed ``run_seed + r``
-    for every variant, so comparisons across variants are paired.  A failing
+    for every variant, so comparisons across variants are paired.  The sweep
+    runs repetition by repetition: it generates the repetition's data once,
+    writes it into each variant's run directory and pretrains each variant,
+    then fine-tunes every pretrained variant in lockstep (one ``fine_tune``
+    call over all of them, which share the data and the mini-batch order),
+    and finally checkpoints and scores each one.  Every run directory is
+    byte-identical to ``run_pipeline`` with the same seeds.  A failing
     repetition is recorded in the cell's error list and does not abort the
     sweep.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    arch = default_architecture(SourceConfig().dim, plan.hidden)
+    live = [v for v in plan.variants if not v.na]
+    aucs = {v.label: [] for v in live}
+    errors = {v.label: [] for v in live}
+    for rep in range(plan.repetitions):
+        data_seed, run_seed = plan.data_seed + rep, plan.run_seed + rep
+        runs = {
+            v.label: _Run(
+                v.meta if v.meta is not None else v.baseline,
+                out_dir / "runs" / v.label / f"rep{rep}",
+                data_seed,
+                run_seed,
+            )
+            for v in live
+        }
+        try:
+            with _stage("generate"):
+                data = generate_source(SourceConfig(seed=data_seed), plan.n_subjects)
+        except StageError as e:
+            for label in runs:
+                errors[label].append(f"rep{rep}: {e}")
+            continue
+        pretrained = {}
+        for label, run in runs.items():
+            try:
+                run.write_data(data)
+                pretrained[label] = run.pretrain(arch, data, plan.mt_iterations, plan.mt_rate)
+            except StageError as e:
+                errors[label].append(f"rep{rep}: {e}")
+        tuned = _fine_tune_all(list(pretrained.values()), data, plan.fine_tune, run_seed)
+        for label, final in zip(pretrained, tuned):
+            try:
+                aucs[label].append(runs[label].finish(final, data)["test_auc"])
+            except StageError as e:
+                errors[label].append(f"rep{rep}: {e}")
+
     cells = []
     for variant in plan.variants:
         if variant.na:
             cells.append((variant.cell, Cell(na=True)))
             continue
-        aucs, errors = [], []
-        for rep in range(plan.repetitions):
-            run_dir = out_dir / "runs" / variant.label / f"rep{rep}"
-            recipe = variant.meta if variant.meta is not None else variant.baseline
-            try:
-                result = run_pipeline(
-                    recipe,
-                    run_dir,
-                    data_seed=plan.data_seed + rep,
-                    run_seed=plan.run_seed + rep,
-                    ft=plan.fine_tune,
-                    arch=default_architecture(SourceConfig().dim, plan.hidden),
-                    n_subjects=plan.n_subjects,
-                    mt_iterations=plan.mt_iterations,
-                    mt_rate=plan.mt_rate,
-                )
-                aucs.append(result["test_auc"])
-            except StageError as e:
-                errors.append(f"rep{rep}: {e}")
-        if aucs:
-            arr = np.asarray(aucs)
-            cell = Cell(float(arr.mean()), float(arr.std(ddof=0)), len(aucs), tuple(errors))
+        found, errs = aucs[variant.label], tuple(errors[variant.label])
+        if found:
+            arr = np.asarray(found)
+            cell = Cell(float(arr.mean()), float(arr.std(ddof=0)), len(found), errs)
         else:
-            cell = Cell(None, None, 0, tuple(errors))
+            cell = Cell(None, None, 0, errs)
         cells.append((variant.cell, cell))
 
     table = ResultTable(tuple(cells))

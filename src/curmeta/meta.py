@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -34,6 +34,7 @@ from .tasks import (
     SplitDataset,
     TASKS,
     TaskDefinition,
+    check_types,
     map_labels,
     sample_episode,
 )
@@ -42,18 +43,6 @@ from .tasks import (
 class GradientMode(str, Enum):
     SECOND = "second"
     FIRST = "first"
-
-
-def _check_types(config, reals=(), integers=()):
-    """Reject non-finite or non-numeric rates and counts that are not plain ints."""
-    for name in reals:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    for name in integers:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,7 @@ class MetaConfig:
     def __post_init__(self):
         object.__setattr__(self, "sampler", SamplerKind(self.sampler))
         object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
-        _check_types(
+        check_types(
             self,
             reals=("adaptation_rate", "meta_rate"),
             integers=("meta_updates", "inner_steps", "n_tr", "n_val", "meta_batch_size", "seed"),
@@ -101,7 +90,7 @@ class FineTuneConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        _check_types(self, reals=("learning_rate",), integers=("batch_size", "epochs"))
+        check_types(self, reals=("learning_rate",), integers=("batch_size", "epochs"))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -325,6 +314,16 @@ def config_to_dict(config) -> dict:
     return {k: (v.value if isinstance(v, Enum) else v) for k, v in d.items()}
 
 
+def initial_params(arch: Architecture, seed: int) -> ParamVector:
+    """The initialization of run seed ``seed``: the first of its three spawned streams.
+
+    Meta-training starts here (its episode and sampler streams are the other
+    two), and so does the plain baseline, so both arms share one init.
+    """
+    init_ss = np.random.SeedSequence(seed).spawn(3)[0]
+    return nets.init_params(arch, np.random.default_rng(init_ss))
+
+
 def meta_train(
     arch: Architecture,
     config: MetaConfig,
@@ -346,8 +345,8 @@ def meta_train(
     if not pool:
         raise ValueError("task pool is empty after exclusions")
 
-    init_ss, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
-    params = nets.init_params(arch, np.random.default_rng(init_ss))
+    params = initial_params(arch, config.seed)
+    _, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
     episode_rng = np.random.default_rng(episode_ss)
     if sampler is None:
         sampler = SamplerState(config.sampler, rng=np.random.default_rng(sampler_ss))
@@ -414,21 +413,50 @@ def meta_train(
 # --- fine-tuning and baselines --------------------------------------------------
 
 def fine_tune(
-    model: TrainedModel,
+    model: TrainedModel | Sequence[TrainedModel],
     target_task: TaskDefinition,
     data: SplitDataset,
     config: FineTuneConfig,
     rng=0,
-) -> TrainedModel:
+) -> TrainedModel | list[TrainedModel | FloatingPointError]:
     """Mini-batch gradient descent on the mapped training split.
 
     Returns the parameter snapshot with the highest validation AUC over all
     epochs, including epoch 0 (the untouched input model), so the result is
     never worse than the start on validation.
+
+    ``model`` may also be a sequence of models sharing one architecture.  They
+    are then trained in lockstep on one mini-batch order: params with a
+    leading model axis (B, P), one stacked ``nets.grad`` call per step and one
+    stacked validation forward pass per epoch.  The result is a list whose
+    entry b equals ``fine_tune(model[b], ...)`` on the same seed bit for bit,
+    or is the ``FloatingPointError`` that call would raise; such a model
+    leaves the stack and the others carry on.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     train = map_labels(target_task, data.train)
     val = map_labels(target_task, data.validation)
+    if isinstance(model, TrainedModel):
+        return _fine_tune_one(model, train, val, config, rng)
+    models = list(model)
+    if len(models) == 1:  # the 2-D path is cheaper than a stack of one
+        try:
+            return [_fine_tune_one(models[0], train, val, config, rng)]
+        except FloatingPointError as e:
+            return [e]
+    return _fine_tune_lockstep(models, train, val, config, rng)
+
+
+def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> TrainedModel:
+    provenance = Provenance(
+        config={**model.provenance.config, "fine_tune": config_to_dict(config)},
+        seed=model.provenance.seed,
+        log_hash=model.provenance.log_hash,
+    )
+    return TrainedModel(model.arch, params, provenance)
+
+
+def _fine_tune_one(model, train, val, config, rng) -> TrainedModel:
     arch = model.arch
 
     def val_auc(p):
@@ -448,13 +476,51 @@ def fine_tune(
         auc = val_auc(params)
         if auc > best_auc:
             best_auc, best_params = auc, params.copy()
+    return _tuned(model, best_params, config)
 
-    provenance = Provenance(
-        config={**model.provenance.config, "fine_tune": config_to_dict(config)},
-        seed=model.provenance.seed,
-        log_hash=model.provenance.log_hash,
-    )
-    return TrainedModel(arch, best_params, provenance)
+
+def _fine_tune_lockstep(models, train, val, config, rng) -> list:
+    if not models:
+        raise ValueError("fine_tune needs at least one model")
+    arch = models[0].arch
+    if any(m.arch != arch for m in models):
+        raise ValueError("models fine-tuned in lockstep must share one architecture")
+
+    def val_aucs(p):
+        inputs = np.broadcast_to(val.inputs, (len(p),) + val.inputs.shape)
+        return np.array(
+            [compute_auc(prob, val.labels) for prob in positive_probability(arch, p, inputs)]
+        )
+
+    rows = list(range(len(models)))  # the model behind each row of the stack
+    params = np.stack([m.params for m in models])
+    best_params, best_auc = params.copy(), val_aucs(params)
+    results = [None] * len(models)
+    n = len(train)
+    for _ in range(config.epochs):
+        # the epoch's shuffled split, broadcast to every row; mini-batches are slices
+        order = rng.permutation(n)
+        inputs = np.broadcast_to(train.inputs[order], (len(rows),) + train.inputs.shape)
+        labels = np.broadcast_to(train.labels[order], (len(rows), n))
+        for start in range(0, n, config.batch_size):
+            stop = start + config.batch_size
+            mini = Batch(inputs[:, start:stop], labels[:, start:stop])
+            params = params - config.learning_rate * nets.grad(arch, params, mini)
+        finite = np.all(np.isfinite(params), axis=1)
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                results[rows[r]] = FloatingPointError("non-finite parameters during fine-tuning")
+            rows = [row for row, ok in zip(rows, finite) if ok]
+            params, best_params, best_auc = params[finite], best_params[finite], best_auc[finite]
+            if not rows:
+                return results
+        aucs = val_aucs(params)
+        better = aucs > best_auc
+        best_auc[better] = aucs[better]
+        best_params[better] = params[better]
+    for row, best in zip(rows, best_params):
+        results[row] = _tuned(models[row], best.copy(), config)
+    return results
 
 
 def _head_length(arch: Architecture) -> int:
@@ -534,13 +600,32 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint; a missing or mistyped field fails naming the field."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} document")
-    arch = Architecture(
-        tuple(doc["architecture"]["layer_widths"]), doc["architecture"]["activation"]
+    required = object()
+
+    def read(parent, label, kind, default=required):
+        value = parent.get(label.rsplit(".", 1)[-1], default)
+        if value is required:
+            raise ValueError(f"{path}: checkpoint has no {label}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{path}: checkpoint {label} must be {kind.__name__}, got {value!r}")
+        return value
+
+    spec = read(doc, "architecture", dict)
+    widths = read(spec, "architecture.layer_widths", list)
+    activation = read(spec, "architecture.activation", str)
+    hexes = read(doc, "params_hex", list)
+    provenance = Provenance(
+        read(doc, "config", dict, {}), read(doc, "seed", int, 0), read(doc, "log_hash", str, "")
     )
-    params = np.array([float.fromhex(x) for x in doc["params_hex"]])
-    return TrainedModel(
-        arch, params, Provenance(doc.get("config", {}), doc.get("seed", 0), doc.get("log_hash", ""))
-    )
+    try:
+        params = np.array([float.fromhex(x) for x in hexes], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: checkpoint params_hex: {e}") from e
+    try:
+        return TrainedModel(Architecture(tuple(widths), activation), params, provenance)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e

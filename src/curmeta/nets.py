@@ -16,6 +16,7 @@ changing any number.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,11 @@ class Architecture:
     activation: str = "relu"
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
+        for w in widths:
+            if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+                raise ValueError(f"layer_widths must be integers, got {w!r} in {widths!r}")
+        widths = tuple(int(w) for w in widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 3:
             raise ValueError(
@@ -58,6 +63,7 @@ class Architecture:
             layout.append((offset, end_w, end_w + fan_out, (fan_in, fan_out)))
             offset = end_w + fan_out
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_param_count", offset)
 
     @property
     def input_dim(self) -> int:
@@ -69,7 +75,7 @@ class Architecture:
 
     @property
     def param_count(self) -> int:
-        return sum((a + 1) * b for a, b in zip(self.layer_widths[:-1], self.layer_widths[1:]))
+        return self._param_count
 
     def unpack(self, params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
         """Split a flat parameter vector into per-layer (W, b) views.

@@ -17,6 +17,7 @@ round-trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,18 @@ from .nets import Batch
 
 SPLIT_WEIGHTS = (45, 13, 59)  # train : validation : test subject proportions
 MIN_SUBJECTS_PER_SPLIT = 2
+
+
+def check_types(config, reals=(), integers=()):
+    """Reject non-finite or non-numeric ``reals`` and ``integers`` that are not plain ints."""
+    for name in reals:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for name in integers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class PoolExhaustedError(RuntimeError):
@@ -102,6 +115,7 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, reals=("sigma",), integers=("dim", "seed"))
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if not self.sigma > 0.0:
@@ -113,6 +127,8 @@ class SourceConfig:
             mu = np.asarray(mu, dtype=np.float64) if mu is not None else defaults[i]
             if mu.shape != (self.dim,):
                 raise ValueError(f"mu{i} has shape {mu.shape}, expected ({self.dim},)")
+            if not np.all(np.isfinite(mu)):
+                raise ValueError(f"mu{i} must be finite")
             means.append(mu)
         for i in range(3):
             for j in range(i + 1, 3):

@@ -248,6 +248,28 @@ def test_fine_tune_missing_checkpoint_fails_cleanly(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err.startswith("[fine-tune]")
 
 
+def test_fine_tune_bad_checkpoint_fails_naming_the_field(tmp_path, data_dir, trained_dir, capsys):
+    doc = json.loads((trained_dir / "checkpoint.json").read_text())
+    del doc["architecture"]["activation"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(
+        [
+            "fine-tune",
+            "--out",
+            str(tmp_path / "out"),
+            "--checkpoint",
+            str(bad),
+            "--data",
+            str(data_dir),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[fine-tune]")
+    assert "architecture.activation" in err
+
+
 def test_meta_train_empty_train_split_fails_cleanly(tmp_path, data_dir, capsys):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)

@@ -295,6 +295,54 @@ def test_run_sweep_single_repetition_has_zero_std(tmp_path):
     assert cell.n == 1 and cell.std == 0.0
 
 
+def tree_files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_sweep_run_dirs_equal_run_pipeline(tmp_path):
+    # the sweep fine-tunes a repetition's variants in lockstep; each run
+    # directory must still be byte-equal to a pipeline run on its own
+    variants = (
+        Variant("meta-random", CellKey("BSML", 2, "random"), meta=QUICK_META),
+        Variant("meta-cl", CellKey("BSML", 2, "cl"), meta=replace(QUICK_META, sampler="cl")),
+        Variant("skipped", CellKey("BSML", 3, "alltask"), na=True),
+        Variant("plain", CellKey("Plain", 0, ""), baseline="plain"),
+        Variant("multitask", CellKey("Multi-task", 0, ""), baseline="multitask"),
+    )
+    ft = FineTuneConfig(epochs=3, batch_size=3)
+    plan = ExperimentPlan(
+        variants,
+        repetitions=2,
+        data_seed=1,
+        run_seed=4,
+        fine_tune=ft,
+        hidden=6,
+        n_subjects=30,
+        mt_iterations=3,
+    )
+    run_sweep(plan, tmp_path / "sweep")
+    for v in variants:
+        if v.na:
+            assert not (tmp_path / "sweep" / "runs" / v.label).exists()
+            continue
+        for rep in range(plan.repetitions):
+            alone = tmp_path / "alone" / v.label / f"rep{rep}"
+            run_pipeline(
+                v.meta if v.meta is not None else v.baseline,
+                alone,
+                data_seed=1 + rep,
+                run_seed=4 + rep,
+                ft=ft,
+                arch=default_architecture(SourceConfig().dim, 6),
+                n_subjects=30,
+                mt_iterations=3,
+                mt_rate=plan.mt_rate,
+            )
+            swept = tree_files(tmp_path / "sweep" / "runs" / v.label / f"rep{rep}")
+            assert "checkpoint.json" in swept
+            assert swept == tree_files(alone), (v.label, rep)
+
+
 def test_run_sweep_captures_per_repetition_failures(tmp_path):
     broken = MetaConfig(meta_updates=1, sampler="alltask", meta_batch_size=2)
     variants = (

@@ -1,10 +1,12 @@
 """Tests for adaptation, meta-gradients, meta-training, baselines and checkpoints."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from curmeta import nets
 from curmeta.meta import (
     LOG_COLUMNS,
     FineTuneConfig,
@@ -18,6 +20,7 @@ from curmeta.meta import (
     config_to_dict,
     fine_tune,
     infer,
+    initial_params,
     inner_adapt,
     load_checkpoint,
     meta_gradient,
@@ -516,6 +519,75 @@ def test_fine_tune_merges_provenance(small_arch, small_data, rng):
     assert ft.provenance.seed == 3 and ft.provenance.log_hash == "abc"
 
 
+def tuning_models(arch, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        TrainedModel(arch, init_params(arch, rng), Provenance({"row": b}, b, f"log{b}"))
+        for b in range(count)
+    ]
+
+
+# a batch size that leaves a short last mini-batch on small_data's K5 train split
+LOCKSTEP_FT = FineTuneConfig(learning_rate=0.2, batch_size=5, epochs=6)
+
+
+@pytest.mark.parametrize("count", [2, 5, 13])
+@pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fine_tune_lockstep_equals_per_model_calls(small_data, count, hidden, activation):
+    assert len(map_labels(K5, small_data.train)) % LOCKSTEP_FT.batch_size != 0
+    arch = Architecture((4, *hidden, 2), activation)
+    models = tuning_models(arch, count, seed=count)
+    together = fine_tune(models, K5, small_data, LOCKSTEP_FT, rng=5)
+    assert len(together) == count
+    for model, tuned in zip(models, together):
+        alone = fine_tune(model, K5, small_data, LOCKSTEP_FT, rng=5)
+        assert np.array_equal(tuned.params, alone.params)
+        assert tuned.arch == alone.arch
+        assert tuned.provenance == alone.provenance
+
+
+def test_fine_tune_lockstep_drops_only_the_overflowing_row(small_arch, small_data):
+    models = tuning_models(small_arch, 4, seed=1)
+    huge = TrainedModel(small_arch, np.full(small_arch.param_count, 1e300))
+    models.insert(2, huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = fine_tune(models, K5, small_data, LOCKSTEP_FT, rng=4)
+        with pytest.raises(FloatingPointError):
+            fine_tune(huge, K5, small_data, LOCKSTEP_FT, rng=4)
+    assert isinstance(together[2], FloatingPointError)
+    for b in (0, 1, 3, 4):
+        alone = fine_tune(models[b], K5, small_data, LOCKSTEP_FT, rng=4)
+        assert np.array_equal(together[b].params, alone.params)
+        assert together[b].provenance == alone.provenance
+
+
+def test_fine_tune_of_one_model_keeps_the_two_dimensional_path(small_arch, small_data, monkeypatch):
+    ranks = []
+    real_grad = nets.grad
+
+    def recording_grad(arch, params, batch):
+        ranks.append(np.ndim(params))
+        return real_grad(arch, params, batch)
+
+    monkeypatch.setattr(nets, "grad", recording_grad)
+    one, two = tuning_models(small_arch, 2, seed=2)
+    [alone] = fine_tune([one], K5, small_data, LOCKSTEP_FT, rng=3)
+    assert set(ranks) == {1}
+    assert np.array_equal(alone.params, fine_tune(one, K5, small_data, LOCKSTEP_FT, rng=3).params)
+    ranks.clear()
+    fine_tune([one, two], K5, small_data, LOCKSTEP_FT, rng=3)
+    assert set(ranks) == {2}
+
+
+def test_fine_tune_lockstep_validates_models(small_arch, small_data):
+    with pytest.raises(ValueError, match="at least one model"):
+        fine_tune([], K5, small_data, LOCKSTEP_FT)
+    other = tuning_models(Architecture((4, 8, 2), "tanh"), 1, seed=0)
+    with pytest.raises(ValueError, match="one architecture"):
+        fine_tune(tuning_models(small_arch, 1, seed=0) + other, K5, small_data, LOCKSTEP_FT)
+
+
 # ---------------------------------------------------------------- multitask
 
 
@@ -612,6 +684,74 @@ def test_checkpoint_rejects_foreign_documents(tmp_path):
     path.write_text('{"format": "something-else", "params_hex": []}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    return edit
+
+
+def put(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (drop("architecture", "activation"), "architecture.activation"),
+        (drop("architecture", "layer_widths"), "architecture.layer_widths"),
+        (drop("architecture"), "architecture"),
+        (drop("params_hex"), "params_hex"),
+        (put("x", "seed"), "seed"),
+        (put(True, "seed"), "seed"),
+        (put(1.5, "seed"), "seed"),
+        (put(5, "log_hash"), "log_hash"),
+        (put([], "config"), "config"),
+        (put("relu", "architecture"), "architecture"),
+        (put([4, 8.5, 2], "architecture", "layer_widths"), "layer_widths"),
+        (put("sigmoid", "architecture", "activation"), "activation"),
+        (put("zz", "params_hex", 0), "params_hex"),
+        (put(1.0, "params_hex", 0), "params_hex"),
+        (put([], "params_hex"), "params shape"),
+    ],
+)
+def test_checkpoint_rejects_bad_fields_naming_them(tmp_path, small_arch, rng, edit, field):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, TrainedModel(small_arch, init_params(small_arch, rng)))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}:")
+
+
+def test_checkpoint_optional_fields_default(tmp_path, small_arch, rng):
+    path = tmp_path / "ck.json"
+    model = TrainedModel(small_arch, init_params(small_arch, rng), Provenance({"a": 1}, 4, "h"))
+    save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    for key in ("config", "seed", "log_hash"):
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path).provenance == Provenance({}, 0, "")
+
+
+def test_initial_params_is_where_meta_training_starts(small_arch, small_data):
+    start = initial_params(small_arch, 9)
+    model, _ = meta_train(small_arch, quick_config(meta_updates=0, seed=9), small_data)
+    assert np.array_equal(model.params, start)
+    assert np.array_equal(start, initial_params(small_arch, 9))
+    assert not np.array_equal(start, initial_params(small_arch, 10))
 
 
 def test_meta_train_model_checkpoints_round_trip(tmp_path, small_arch, small_data):

@@ -53,6 +53,22 @@ def test_architecture_rejects_unknown_activation():
         Architecture((4, 3, 2), activation="sigmoid")
 
 
+@pytest.mark.parametrize(
+    "widths", [(16.7, 24, 2), (16, 24.0, 2), (True, 24, 2), ("16", 24, 2), "16,24,2"]
+)
+def test_architecture_rejects_non_integer_widths_naming_the_field(widths):
+    with pytest.raises(ValueError, match="layer_widths"):
+        Architecture(widths)
+
+
+def test_architecture_accepts_numpy_integer_widths():
+    arch = Architecture((np.int64(16), np.int32(24), np.uint8(2)))
+    assert arch.layer_widths == (16, 24, 2)
+    assert all(type(w) is int for w in arch.layer_widths)
+    assert arch == Architecture((16, 24, 2))
+    assert arch.param_count == 17 * 24 + 25 * 2
+
+
 def test_architecture_is_hashable_and_frozen():
     arch = Architecture((4, 3, 2))
     assert arch == Architecture((4, 3, 2))

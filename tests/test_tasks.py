@@ -93,6 +93,24 @@ def test_source_config_validation():
         SourceConfig(dim=4, mu0=same, mu1=same, mu2=np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"sigma": float("inf")}, "sigma"),
+        ({"sigma": float("nan")}, "sigma"),
+        ({"sigma": "1.0"}, "sigma"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "3"}, "seed"),
+        ({"dim": 4.0}, "dim"),
+        ({"mu1": np.array([np.inf, 0.0, 0.0, 0.0])}, "mu1"),
+    ],
+)
+def test_source_config_rejects_bad_fields_naming_them(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        SourceConfig(**{"dim": 4, **kwargs})
+
+
 def test_source_config_means_property():
     cfg = SourceConfig(dim=8)
     mu0, mu1, mu2 = cfg.means
