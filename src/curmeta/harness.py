@@ -167,14 +167,6 @@ class _Run:
         return result
 
 
-def _fine_tune_all(models, data, ft: FineTuneConfig, run_seed: int) -> list:
-    """Fine-tune models of one run seed in lockstep; entry b is a model or its failure."""
-    try:
-        return fine_tune(models, K5, data, ft, rng=derive_stream(run_seed, 1))
-    except Exception as e:
-        return [e] * len(models)
-
-
 def run_pipeline(
     recipe,
     out_dir,
@@ -205,7 +197,8 @@ def run_pipeline(
     run.write_data(data)
     arch = arch if arch is not None else default_architecture(src.dim)
     model = run.pretrain(arch, data, mt_iterations, mt_rate)
-    [final] = _fine_tune_all([model], data, ft, run_seed)
+    with _stage("fine-tune"):
+        final = fine_tune(model, K5, data, ft, rng=derive_stream(run_seed, 1))
     return run.finish(final, data)
 
 
@@ -472,7 +465,12 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
                 pretrained[label] = run.pretrain(arch, data, plan.mt_iterations, plan.mt_rate)
             except StageError as e:
                 errors[label].append(f"rep{rep}: {e}")
-        tuned = _fine_tune_all(list(pretrained.values()), data, plan.fine_tune, run_seed)
+        try:
+            tuned = fine_tune(
+                list(pretrained.values()), K5, data, plan.fine_tune, rng=derive_stream(run_seed, 1)
+            )
+        except Exception as e:  # a failure of the whole call is every variant's failure
+            tuned = [e] * len(pretrained)
         for label, final in zip(pretrained, tuned):
             try:
                 aucs[label].append(runs[label].finish(final, data)["test_auc"])

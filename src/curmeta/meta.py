@@ -423,7 +423,8 @@ def fine_tune(
 
     Returns the parameter snapshot with the highest validation AUC over all
     epochs, including epoch 0 (the untouched input model), so the result is
-    never worse than the start on validation.
+    never worse than the start on validation.  Raises FloatingPointError if
+    the parameters go non-finite.
 
     ``model`` may also be a sequence of models sharing one architecture.  They
     are then trained in lockstep on one mini-batch order: params with a
@@ -431,20 +432,17 @@ def fine_tune(
     stacked validation forward pass per epoch.  The result is a list whose
     entry b equals ``fine_tune(model[b], ...)`` on the same seed bit for bit,
     or is the ``FloatingPointError`` that call would raise; such a model
-    leaves the stack and the others carry on.
+    leaves the stack and the others carry on.  One model is a stack of one.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     train = map_labels(target_task, data.train)
     val = map_labels(target_task, data.validation)
-    if isinstance(model, TrainedModel):
-        return _fine_tune_one(model, train, val, config, rng)
-    models = list(model)
-    if len(models) == 1:  # the 2-D path is cheaper than a stack of one
-        try:
-            return [_fine_tune_one(models[0], train, val, config, rng)]
-        except FloatingPointError as e:
-            return [e]
-    return _fine_tune_lockstep(models, train, val, config, rng)
+    if not isinstance(model, TrainedModel):
+        return _fine_tune_lockstep(list(model), train, val, config, rng)
+    [result] = _fine_tune_lockstep([model], train, val, config, rng)
+    if isinstance(result, FloatingPointError):
+        raise result
+    return result
 
 
 def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> TrainedModel:
@@ -454,29 +452,6 @@ def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> 
         log_hash=model.provenance.log_hash,
     )
     return TrainedModel(model.arch, params, provenance)
-
-
-def _fine_tune_one(model, train, val, config, rng) -> TrainedModel:
-    arch = model.arch
-
-    def val_auc(p):
-        return compute_auc(positive_probability(arch, p, val.inputs), val.labels)
-
-    params = model.params.copy()
-    best_params, best_auc = params.copy(), val_auc(params)
-    n = len(train)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            mini = Batch(train.inputs[idx], train.labels[idx])
-            params = params - config.learning_rate * nets.grad(arch, params, mini)
-        if not np.all(np.isfinite(params)):
-            raise FloatingPointError("non-finite parameters during fine-tuning")
-        auc = val_auc(params)
-        if auc > best_auc:
-            best_auc, best_params = auc, params.copy()
-    return _tuned(model, best_params, config)
 
 
 def _fine_tune_lockstep(models, train, val, config, rng) -> list:

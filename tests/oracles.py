@@ -163,3 +163,34 @@ def reference_meta_train(arch, config, data, pool):
             )
         )
     return params, rows
+
+
+def reference_fine_tune(arch, params, train, val, config, seed):
+    """Fine-tuning the slow way: one model, plain 2-D calls, a gathered batch per step.
+
+    Keeps the library's draw order (one ``permutation`` of the mapped training
+    split per epoch) and its snapshot rule (strictly higher validation AUC,
+    epoch 0 included).  Returns the best params, or raises FloatingPointError
+    when they go non-finite.
+    """
+    from curmeta import nets
+    from curmeta.metrics import compute_auc
+
+    def val_auc(p):
+        return compute_auc(nets.softmax(nets.forward(arch, p, val.inputs))[:, 1], val.labels)
+
+    rng = np.random.default_rng(seed)
+    params = params.copy()
+    best_params, best_auc = params.copy(), val_auc(params)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            mini = nets.Batch(train.inputs[idx], train.labels[idx])
+            params = params - config.learning_rate * nets.grad(arch, params, mini)
+        if not np.all(np.isfinite(params)):
+            raise FloatingPointError("non-finite parameters")
+        auc = val_auc(params)
+        if auc > best_auc:
+            best_auc, best_params = auc, params.copy()
+    return best_params

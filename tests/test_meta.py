@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from curmeta import nets
 from curmeta.meta import (
     LOG_COLUMNS,
     FineTuneConfig,
@@ -39,7 +38,7 @@ from curmeta.tasks import (
     generate_source,
     map_labels,
 )
-from oracles import central_fd, max_rel_error, reference_meta_train
+from oracles import central_fd, max_rel_error, reference_fine_tune, reference_meta_train
 
 
 class Quadratic:
@@ -562,22 +561,16 @@ def test_fine_tune_lockstep_drops_only_the_overflowing_row(small_arch, small_dat
         assert together[b].provenance == alone.provenance
 
 
-def test_fine_tune_of_one_model_keeps_the_two_dimensional_path(small_arch, small_data, monkeypatch):
-    ranks = []
-    real_grad = nets.grad
-
-    def recording_grad(arch, params, batch):
-        ranks.append(np.ndim(params))
-        return real_grad(arch, params, batch)
-
-    monkeypatch.setattr(nets, "grad", recording_grad)
-    one, two = tuning_models(small_arch, 2, seed=2)
-    [alone] = fine_tune([one], K5, small_data, LOCKSTEP_FT, rng=3)
-    assert set(ranks) == {1}
-    assert np.array_equal(alone.params, fine_tune(one, K5, small_data, LOCKSTEP_FT, rng=3).params)
-    ranks.clear()
-    fine_tune([one, two], K5, small_data, LOCKSTEP_FT, rng=3)
-    assert set(ranks) == {2}
+@pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fine_tune_of_one_model_is_plain_minibatch_sgd(small_data, hidden, activation):
+    arch = Architecture((4, *hidden, 2), activation)
+    [model] = tuning_models(arch, 1, seed=len(hidden))
+    train, val = map_labels(K5, small_data.train), map_labels(K5, small_data.validation)
+    expected = reference_fine_tune(arch, model.params, train, val, LOCKSTEP_FT, seed=3)
+    assert np.array_equal(fine_tune(model, K5, small_data, LOCKSTEP_FT, rng=3).params, expected)
+    [alone] = fine_tune([model], K5, small_data, LOCKSTEP_FT, rng=3)
+    assert np.array_equal(alone.params, expected)
 
 
 def test_fine_tune_lockstep_validates_models(small_arch, small_data):
