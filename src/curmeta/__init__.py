@@ -7,7 +7,7 @@ experiment harness with a command line interface.
 """
 
 from .nets import Architecture, Batch, batch_loss, forward, grad, hessian_vector_product, init_params, softmax
-from .metrics import DegenerateAucError, Observation, Reward, compute_auc, observation, reward
+from .metrics import DegenerateAucError, compute_auc
 from .tasks import (
     K1,
     K2,
@@ -16,7 +16,9 @@ from .tasks import (
     K5,
     Episode,
     PoolExhaustedError,
+    Samples,
     SourceConfig,
+    SourceSample,
     SplitDataset,
     TASKS,
     TASK_BY_ID,

@@ -137,7 +137,7 @@ def cmd_meta_train(args) -> int:
     except Exception as e:
         raise StageError("meta-train", str(e)) from e
     try:
-        arch = default_architecture(data.train[0].features.shape[0], args.hidden)
+        arch = default_architecture(data.train.features.shape[1], args.hidden)
         model, log = meta_train(arch, config, data)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

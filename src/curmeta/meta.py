@@ -171,22 +171,20 @@ def _stack(batches):
     return batches
 
 
-def _meta_gradient(objective, params, episodes, alpha, steps, mode):
+def _meta_gradient(objective, params, episodes, support, query, alpha, steps, mode):
     """Meta-gradient and stacked adaptation trajectory of a meta-batch.
 
+    ``support`` and ``query`` are the episodes' batches stacked by ``_stack``.
     The unroll and the query gradient run once for all episodes: theta has a
-    leading episode axis (B, P) and the episode batches are stacked.  The
-    reverse sweep runs per episode, through theta_{k+1} = theta_k - alpha *
-    g(theta_k): v <- (I - alpha * H(theta_k)) v at every inner step.
+    leading episode axis (B, P).  The reverse sweep runs per episode, through
+    theta_{k+1} = theta_k - alpha * g(theta_k): v <- (I - alpha * H(theta_k))
+    v at every inner step.
     """
     mode = GradientMode(mode)
-    episodes = list(episodes)
-    if not episodes:
-        raise ValueError("meta_gradient needs at least one episode")
     params = np.asarray(params, dtype=np.float64)
     theta = np.repeat(params[None, :], len(episodes), axis=0)
-    trajectory = _unroll(objective, theta, _stack(ep.support for ep in episodes), alpha, steps)
-    query_grads = objective.grad(trajectory[-1], _stack(ep.query for ep in episodes))
+    trajectory = _unroll(objective, theta, support, alpha, steps)
+    query_grads = objective.grad(trajectory[-1], query)
     total = np.zeros_like(params)
     for b, (ep, v) in enumerate(zip(episodes, query_grads)):
         if mode is GradientMode.SECOND:
@@ -211,7 +209,12 @@ def meta_gradient(
     not ``Batch`` get the tuple of them), and ``objective.hvp`` one episode
     at a time.  Per-episode gradients are accumulated in the given order.
     """
-    return _meta_gradient(objective, params, episodes, alpha, steps, mode)[0]
+    episodes = list(episodes)
+    if not episodes:
+        raise ValueError("meta_gradient needs at least one episode")
+    support = _stack(ep.support for ep in episodes)
+    query = _stack(ep.query for ep in episodes)
+    return _meta_gradient(objective, params, episodes, support, query, alpha, steps, mode)[0]
 
 
 def positive_probability(arch: Architecture, params: ParamVector, inputs) -> np.ndarray:
@@ -366,19 +369,21 @@ def meta_train(
                     f"meta-update {iteration}, task {task.id}: {e}"
                 ) from e
 
+        query = Batch.stack(ep.query for ep in episodes)
         grad_total, trajectory = _meta_gradient(
             objective,
             params,
             episodes,
+            Batch.stack(ep.support for ep in episodes),
+            query,
             config.adaptation_rate,
             config.inner_steps,
             config.gradient_mode,
         )
-        query = Batch.stack(ep.query for ep in episodes)
         prob_before = positive_probability(arch, trajectory[0], query.inputs)
         prob_after = positive_probability(arch, trajectory[-1], query.inputs)
-        auc_before = [compute_auc(p, y) for p, y in zip(prob_before, query.labels)]
-        auc_after = [compute_auc(p, y) for p, y in zip(prob_after, query.labels)]
+        auc_before = compute_auc(prob_before, query.labels).tolist()
+        auc_after = compute_auc(prob_after, query.labels).tolist()
 
         params = params - config.meta_rate * grad_total
         if not np.all(np.isfinite(params)):
@@ -463,9 +468,8 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
 
     def val_aucs(p):
         inputs = np.broadcast_to(val.inputs, (len(p),) + val.inputs.shape)
-        return np.array(
-            [compute_auc(prob, val.labels) for prob in positive_probability(arch, p, inputs)]
-        )
+        labels = np.broadcast_to(val.labels, (len(p),) + val.labels.shape)
+        return compute_auc(positive_probability(arch, p, inputs), labels)
 
     rows = list(range(len(models)))  # the model behind each row of the stack
     params = np.stack([m.params for m in models])

@@ -1,13 +1,11 @@
-"""ROC-AUC and the observation/reward quantities that drive task sampling.
+"""ROC-AUC, the score that drives task sampling and model selection.
 
-AUC is computed as the trapezoidal area under the ROC curve built over tie
-groups, which equals the probability that a random positive outscores a random
-negative with ties counting one half.  All functions here are pure.
+AUC is the trapezoidal area under the ROC curve built over tie groups, which
+equals the probability that a random positive outscores a random negative
+with ties counting one half.  All functions here are pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,72 +14,53 @@ class DegenerateAucError(ValueError):
     """AUC requested for a single-class label set."""
 
 
-@dataclass(frozen=True)
-class Observation:
-    """AUC improvement of one adaptation: after minus before, in [-1, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"observation {self.value} outside [-1, 1]")
-
-
-@dataclass(frozen=True)
-class Reward:
-    """Change in a task's observation since it was last sampled, in [-2, 2]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not -2.0 <= self.value <= 2.0:
-            raise ValueError(f"reward {self.value} outside [-2, 2]")
-
-
-def compute_auc(scores, labels) -> float:
+def compute_auc(scores, labels):
     """Area under the ROC curve of ``scores`` against binary ``labels``.
 
     Ties are handled by grouping equal scores and joining the resulting ROC
     points with trapezoids (equivalently: tied positive-negative pairs count
     one half).  Raises DegenerateAucError unless both classes are present.
+
+    With a leading axis, scores and labels of shape (B, m) give an array of
+    the B row AUCs; row b has the same bits as the call on row b alone.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError(
-            f"scores and labels must have equal length, got {scores.shape} vs {labels.shape}"
+            f"scores and labels must have equal shapes, got {scores.shape} vs {labels.shape}"
         )
-    if not np.all((labels == 0) | (labels == 1)):
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"scores must be (m,) or (B, m), got shape {scores.shape}")
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    rows_s, rows_y = (scores, labels) if scores.ndim == 2 else (scores[None], labels[None])
+    n_pos = rows_y.sum(axis=1)
+    n_neg = rows_y.shape[1] - n_pos
+    degenerate = (n_pos == 0) | (n_neg == 0)
+    if degenerate.any():
+        b = int(np.argmax(degenerate))
+        where = f"row {b}: " if scores.ndim == 2 else ""
         raise DegenerateAucError(
-            f"degenerate AUC: need both classes, got {n_pos} positives and {n_neg} negatives"
+            f"{where}degenerate AUC: need both classes, "
+            f"got {n_pos[b]} positives and {n_neg[b]} negatives"
         )
 
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    # one group per distinct score, descending
-    starts = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(starts) - 1
-    tp_g = np.bincount(group, weights=y)
-    fp_g = np.bincount(group, weights=1 - y)
-    tp = np.cumsum(tp_g)
-    tp_prev = tp - tp_g
-    area = float(np.sum(fp_g * (tp_prev + tp)) / 2.0)
-    return area / (n_pos * n_neg)
-
-
-def observation(auc_after: float, auc_before: float) -> Observation:
-    """AUC improvement from before to after one adaptation."""
-    for name, value in (("auc_after", auc_after), ("auc_before", auc_before)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name}={value} outside [0, 1]")
-    return Observation(auc_after - auc_before)
-
-
-def reward(current: Observation, previous: Observation) -> Reward:
-    """Improvement-of-improvement: current observation minus the previous one."""
-    return Reward(current.value - previous.value)
+    # Sort each row by descending score; first[i] is where sample i's tie
+    # group starts and before[i] counts the positives ahead of that group.
+    # Twice the area (2 per pair the positive wins, 1 per tied pair) is then
+    # n_pos*n_neg + sum(before) - sum(first over positives).  Every term is an
+    # exact integer, so a row's AUC has the same bits whatever the row count.
+    rows = np.arange(len(rows_s))[:, None]
+    order = np.argsort(-rows_s, axis=1, kind="stable")
+    s = rows_s[rows, order]
+    y = rows_y[rows, order]
+    starts = np.empty(s.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+    first = np.maximum.accumulate(starts * np.arange(s.shape[1]), axis=1)
+    before = (np.cumsum(y, axis=1) - y)[rows, first]
+    pairs = n_pos * n_neg
+    area = (pairs + (before - y * first).sum(axis=1)) / 2.0
+    auc = area / pairs
+    return auc if scores.ndim == 2 else float(auc[0])

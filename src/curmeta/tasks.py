@@ -7,6 +7,10 @@ separate class 1 from class 2 are genuinely harder than the rest.  Subjects
 own a fixed number of samples (default 2) sharing one subject_id, and the
 train/validation/test split is made at the subject level with no overlap.
 
+Each split is held as three arrays (``Samples``): features (n, d), classes
+(n,) and subject ids (n,).  ``SourceSample`` is the row view of a split, and
+every function that takes samples also takes a sequence of such rows.
+
 Datasets serialize to a tab-separated text format, one sample per row:
 
     subject_id <TAB> class <TAB> f0 <TAB> f1 <TAB> ...
@@ -18,6 +22,7 @@ round-trip is bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +67,9 @@ class TaskDefinition:
             raise ValueError("positive classes must be a subset of included classes")
         if not self.positive_classes or self.positive_classes == self.included_classes:
             raise ValueError("task needs at least one positive and one negative class")
+        # per-class lookups: included[classes] and positive[classes] map a split's classes
+        object.__setattr__(self, "_included", np.isin(np.arange(3), list(self.included_classes)))
+        object.__setattr__(self, "_positive", np.isin(np.arange(3), list(self.positive_classes)))
 
 
 K1 = TaskDefinition("K1", frozenset({0, 1, 2}), frozenset({1, 2}))
@@ -75,6 +83,8 @@ TASK_BY_ID = {t.id: t for t in TASKS}
 
 @dataclass(frozen=True)
 class SourceSample:
+    """One row of a split: a feature vector, its source class and its subject."""
+
     features: np.ndarray
     source_class: int
     subject_id: int
@@ -88,6 +98,87 @@ class SourceSample:
         if self.subject_id < 0:
             raise ValueError(f"subject_id must be >= 0, got {self.subject_id}")
         object.__setattr__(self, "features", features)
+
+
+def _integer_array(values, name: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """A split as arrays: features (n, d) float64, classes (n,) and subjects (n,) int64.
+
+    Reads as a sequence of ``SourceSample`` rows: ``len``, iteration,
+    ``samples[i]`` (a row), ``samples[:k]`` (a ``Samples``) and ``+``
+    (concatenation).  Build one from rows with ``Samples.from_rows``.
+    """
+
+    features: np.ndarray
+    classes: np.ndarray
+    subjects: np.ndarray
+
+    def __post_init__(self):
+        features = np.asarray(self.features, dtype=np.float64)
+        classes = _integer_array(self.classes, "classes")
+        subjects = _integer_array(self.subjects, "subjects")
+        if features.ndim != 2:
+            raise ValueError(f"features must be (n, d), got shape {features.shape}")
+        n = features.shape[0]
+        if classes.shape != (n,) or subjects.shape != (n,):
+            raise ValueError(
+                f"classes {classes.shape} and subjects {subjects.shape} must be ({n},) "
+                f"to match features of shape {features.shape}"
+            )
+        bad = (classes < 0) | (classes > 2)
+        if bad.any():
+            raise ValueError(f"class must be 0, 1 or 2, got {classes[bad][0]}")
+        if (subjects < 0).any():
+            raise ValueError(f"subject_id must be >= 0, got {subjects[subjects < 0][0]}")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "subjects", subjects)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Samples":
+        """The arrays of a sequence of ``SourceSample`` rows."""
+        rows = list(rows)
+        if not rows:
+            return cls(np.zeros((0, 0)), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        if len({s.features.shape for s in rows}) > 1:
+            raise ValueError("all samples must share one feature dimension")
+        return cls(
+            np.stack([s.features for s in rows]),
+            [s.source_class for s in rows],
+            [s.subject_id for s in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __getitem__(self, key):
+        if isinstance(key, numbers.Integral):
+            return SourceSample(self.features[key], int(self.classes[key]), int(self.subjects[key]))
+        return Samples(self.features[key], self.classes[key], self.subjects[key])
+
+    def __iter__(self):
+        for row, cls, subject in zip(self.features, self.classes.tolist(), self.subjects.tolist()):
+            yield SourceSample(row, cls, subject)
+
+    def __add__(self, other) -> "Samples":
+        other = _as_samples(other)
+        return Samples(
+            np.concatenate([self.features, other.features]),
+            np.concatenate([self.classes, other.classes]),
+            np.concatenate([self.subjects, other.subjects]),
+        )
+
+
+def _as_samples(samples) -> Samples:
+    """``samples`` itself if it is a ``Samples``, else its ``SourceSample`` rows as one."""
+    return samples if isinstance(samples, Samples) else Samples.from_rows(samples)
 
 
 def default_means(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,20 +236,22 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    train: tuple[SourceSample, ...]
-    validation: tuple[SourceSample, ...]
-    test: tuple[SourceSample, ...]
+    """Subject-disjoint train/validation/test splits, each a ``Samples``."""
+
+    train: Samples
+    validation: Samples
+    test: Samples
 
     def __post_init__(self):
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "validation", tuple(self.validation))
-        object.__setattr__(self, "test", tuple(self.test))
-        ids = [set(s.subject_id for s in split) for split in (self.train, self.validation, self.test)]
+        splits = [_as_samples(getattr(self, name)) for name in ("train", "validation", "test")]
+        for name, split in zip(("train", "validation", "test"), splits):
+            object.__setattr__(self, name, split)
         for i in range(3):
             for j in range(i + 1, 3):
-                shared = ids[i] & ids[j]
-                if shared:
-                    raise ValueError(f"splits share subject ids {sorted(shared)}")
+                mine = splits[i].subjects
+                shared = mine[np.isin(mine, splits[j].subjects)]
+                if shared.size:
+                    raise ValueError(f"splits share subject ids {sorted(set(shared.tolist()))}")
 
 
 def split_subject_counts(n_subjects: int) -> tuple[int, int, int]:
@@ -197,16 +290,18 @@ def generate_source(
     rng = np.random.default_rng(config.seed)
     means = config.means
     splits = []
-    subject = 0
+    first_subject = 0
     for count in counts:
-        samples = []
-        for _ in range(count):
-            for _ in range(samples_per_subject):
-                cls = int(rng.integers(3))
-                features = means[cls] + config.sigma * rng.standard_normal(config.dim)
-                samples.append(SourceSample(features, cls, subject))
-            subject += 1
-        splits.append(tuple(samples))
+        n = count * samples_per_subject
+        features = np.empty((n, config.dim))
+        classes = np.empty(n, dtype=np.int64)
+        for i in range(n):  # per sample: its class, then its features
+            cls = int(rng.integers(3))
+            classes[i] = cls
+            features[i] = means[cls] + config.sigma * rng.standard_normal(config.dim)
+        subjects = np.repeat(np.arange(first_subject, first_subject + count), samples_per_subject)
+        splits.append(Samples(features, classes, subjects))
+        first_subject += count
     return SplitDataset(*splits)
 
 
@@ -215,12 +310,11 @@ def map_labels(task: TaskDefinition, samples) -> Batch:
 
     Sample order is preserved.
     """
-    kept = [s for s in samples if s.source_class in task.included_classes]
-    if not kept:
+    samples = _as_samples(samples)
+    kept = task._included[samples.classes]
+    if not kept.any():
         raise ValueError(f"no samples left after mapping task {task.id}")
-    inputs = np.stack([s.features for s in kept])
-    labels = np.array([int(s.source_class in task.positive_classes) for s in kept])
-    return Batch(inputs, labels)
+    return Batch(samples.features[kept], task._positive[samples.classes[kept]])
 
 
 @dataclass(frozen=True)
@@ -257,53 +351,47 @@ def sample_episode(
     """
     if n_tr < 2 or n_val < 2:
         raise ValueError("n_tr and n_val must be >= 2 so both labels can be present")
-    eligible = [s for s in pool if s.source_class in task.included_classes]
-    labels = np.array([int(s.source_class in task.positive_classes) for s in eligible])
-    subjects = np.array([s.subject_id for s in eligible])
+    pool = _as_samples(pool)
+    # work in positions 0..n-1 of the eligible samples, in pool order
+    eligible = np.flatnonzero(task._included[pool.classes])
+    positive = task._positive[pool.classes[eligible]]
+    labels = positive.astype(np.int64)
+    subjects = pool.subjects[eligible]
     n = len(eligible)
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == 0)
+    pos = np.flatnonzero(positive)
+    neg = np.flatnonzero(~positive)
     if n < n_tr + n_val or len(pos) == 0 or len(neg) == 0:
         raise PoolExhaustedError(
             f"pool exhausted for task {task.id}: {n} eligible samples "
             f"({len(pos)} positive, {len(neg)} negative), need {n_tr}+{n_val} with both labels"
         )
 
+    # Each set draws one positive and one negative, then fills up uniformly
+    # from the rest; masks stand for index sets, flatnonzero lists them sorted.
     for _ in range(max_attempts):
-        chosen = {int(rng.choice(pos)), int(rng.choice(neg))}
-        rest = np.array(sorted(set(range(n)) - chosen))
-        if len(rest) < n_tr - len(chosen):
-            break
-        fill = rng.choice(rest, size=n_tr - len(chosen), replace=False)
-        support_idx = sorted(chosen | set(int(i) for i in fill))
-        support_subj = set(int(subjects[i]) for i in support_idx)
+        rest = np.ones(n, dtype=bool)
+        rest[[rng.choice(pos), rng.choice(neg)]] = False
+        fill = rng.choice(np.flatnonzero(rest), size=n_tr - 2, replace=False)
+        rest[fill] = False
+        support_idx = np.flatnonzero(~rest)
 
-        candidates = [i for i in range(n) if int(subjects[i]) not in support_subj]
-        cand_pos = [i for i in candidates if labels[i] == 1]
-        cand_neg = [i for i in candidates if labels[i] == 0]
-        if len(candidates) < n_val or not cand_pos or not cand_neg:
+        candidates = (subjects[:, None] != subjects[support_idx]).all(axis=1)
+        cand_pos = np.flatnonzero(candidates & positive)
+        cand_neg = np.flatnonzero(candidates & ~positive)
+        if np.count_nonzero(candidates) < n_val or len(cand_pos) == 0 or len(cand_neg) == 0:
             continue
-        q_chosen = {int(rng.choice(cand_pos)), int(rng.choice(cand_neg))}
-        q_rest = np.array(sorted(set(candidates) - q_chosen))
-        if len(q_rest) < n_val - len(q_chosen):
-            continue
-        q_fill = rng.choice(q_rest, size=n_val - len(q_chosen), replace=False)
-        query_idx = sorted(q_chosen | set(int(i) for i in q_fill))
+        q_rest = candidates.copy()
+        q_rest[[rng.choice(cand_pos), rng.choice(cand_neg)]] = False
+        q_fill = rng.choice(np.flatnonzero(q_rest), size=n_val - 2, replace=False)
+        q_rest[q_fill] = False
+        query_idx = np.flatnonzero(candidates & ~q_rest)
 
-        support = Batch(
-            np.stack([eligible[i].features for i in support_idx]),
-            labels[support_idx],
-        )
-        query = Batch(
-            np.stack([eligible[i].features for i in query_idx]),
-            labels[query_idx],
-        )
         return Episode(
             task,
-            support,
-            query,
-            frozenset(support_subj),
-            frozenset(int(subjects[i]) for i in query_idx),
+            Batch(pool.features[eligible[support_idx]], labels[support_idx]),
+            Batch(pool.features[eligible[query_idx]], labels[query_idx]),
+            frozenset(subjects[support_idx].tolist()),
+            frozenset(subjects[query_idx].tolist()),
         )
     raise PoolExhaustedError(
         f"pool exhausted for task {task.id}: no subject-disjoint stratified draw "
@@ -320,42 +408,57 @@ def derive_stream(seed: int, worker: int, stride: int = 1000) -> np.random.Gener
 
 def write_samples(path, samples) -> None:
     """Write samples as TSV: subject_id, class, then one column per feature."""
-    samples = list(samples)
-    path = Path(path)
-    if samples:
-        dim = samples[0].features.size
-    else:
-        dim = 0
-    header = "subject_id\tclass" + "".join(f"\tf{i}" for i in range(dim))
+    samples = _as_samples(samples)
+    header = "subject_id\tclass" + "".join(f"\tf{i}" for i in range(samples.features.shape[1]))
     lines = [header]
-    for s in samples:
-        if s.features.size != dim:
-            raise ValueError("all samples must share one feature dimension")
-        feats = "\t".join(f"{x:.17g}" for x in s.features)
-        lines.append(f"{s.subject_id}\t{s.source_class}\t{feats}")
-    path.write_text("\n".join(lines) + "\n")
+    for subject, cls, row in zip(
+        samples.subjects.tolist(), samples.classes.tolist(), samples.features.tolist()
+    ):
+        feats = "\t".join(f"{x:.17g}" for x in row)
+        lines.append(f"{subject}\t{cls}\t{feats}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_samples(path) -> tuple[SourceSample, ...]:
+def _cell(text: str, column: str, parse, valid, expected: str):
+    """One parsed TSV cell; a value ``parse`` rejects or ``valid`` fails names the column."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"{column} must be {expected}, got {text!r}")
+    return value
+
+
+def read_samples(path) -> Samples:
+    """Read a sample table; a bad row fails as ``path:line: <column> ...``."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("subject_id\tclass"):
         raise ValueError(f"{path}: not a sample table (bad header)")
-    width = len(lines[0].split("\t"))
-    out = []
+    columns = lines[0].split("\t")
+    subjects, classes, features = [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) < 3:
             raise ValueError(f"{path}:{ln}: expected subject_id, class and features")
-        if len(parts) != width:
-            raise ValueError(f"{path}:{ln}: {len(parts)} fields, the header has {width}")
-        out.append(
-            SourceSample(
-                np.array([float(x) for x in parts[2:]]),
-                int(parts[1]),
-                int(parts[0]),
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}:{ln}: {len(parts)} fields, the header has {len(columns)}")
+        try:
+            subjects.append(_cell(parts[0], "subject_id", int, lambda v: v >= 0, "an integer >= 0"))
+            classes.append(_cell(parts[1], "class", int, lambda v: v in (0, 1, 2), "0, 1 or 2"))
+            features.append(
+                [
+                    _cell(text, column, float, math.isfinite, "a finite number")
+                    for column, text in zip(columns[2:], parts[2:])
+                ]
             )
-        )
-    return tuple(out)
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
+    return Samples(
+        np.array(features, dtype=np.float64).reshape(len(features), len(columns) - 2),
+        np.array(classes, dtype=np.int64),
+        np.array(subjects, dtype=np.int64),
+    )
 
 
 SPLIT_FILES = {"train": "train.tsv", "validation": "validation.tsv", "test": "test.tsv"}

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way (per-coordinate
-finite differences, all-pairs counting, plain-list buffers) so the fast
-library paths have something external to agree with.
+finite differences, all-pairs counting, plain-list buffers, one row or one
+sample object at a time) so the fast library paths have something external
+to agree with.
 """
 
 import numpy as np
@@ -45,6 +46,104 @@ def concordance_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def reference_auc(scores, labels) -> float:
+    """1-D tie-group trapezoid AUC, one row at a time (the library's earlier code)."""
+    from curmeta.metrics import DegenerateAucError
+
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if scores.shape != labels.shape:
+        raise ValueError(
+            f"scores and labels must have equal length, got {scores.shape} vs {labels.shape}"
+        )
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateAucError(
+            f"degenerate AUC: need both classes, got {n_pos} positives and {n_neg} negatives"
+        )
+
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    # one group per distinct score, descending
+    starts = np.r_[True, s[1:] != s[:-1]]
+    group = np.cumsum(starts) - 1
+    tp_g = np.bincount(group, weights=y)
+    fp_g = np.bincount(group, weights=1 - y)
+    tp = np.cumsum(tp_g)
+    tp_prev = tp - tp_g
+    area = float(np.sum(fp_g * (tp_prev + tp)) / 2.0)
+    return area / (n_pos * n_neg)
+
+
+def reference_sample_episode(task, pool, n_tr, n_val, rng, max_attempts=200):
+    """Episode sampling over a list of ``SourceSample`` rows, with Python sets.
+
+    The library's earlier object-list code: the same ``rng.choice`` calls on
+    the same sorted index arrays, the same checks and the same messages.
+    """
+    from curmeta.nets import Batch
+    from curmeta.tasks import Episode, PoolExhaustedError
+
+    if n_tr < 2 or n_val < 2:
+        raise ValueError("n_tr and n_val must be >= 2 so both labels can be present")
+    eligible = [s for s in pool if s.source_class in task.included_classes]
+    labels = np.array([int(s.source_class in task.positive_classes) for s in eligible])
+    subjects = np.array([s.subject_id for s in eligible])
+    n = len(eligible)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
+    if n < n_tr + n_val or len(pos) == 0 or len(neg) == 0:
+        raise PoolExhaustedError(
+            f"pool exhausted for task {task.id}: {n} eligible samples "
+            f"({len(pos)} positive, {len(neg)} negative), need {n_tr}+{n_val} with both labels"
+        )
+
+    for _ in range(max_attempts):
+        chosen = {int(rng.choice(pos)), int(rng.choice(neg))}
+        rest = np.array(sorted(set(range(n)) - chosen))
+        if len(rest) < n_tr - len(chosen):
+            break
+        fill = rng.choice(rest, size=n_tr - len(chosen), replace=False)
+        support_idx = sorted(chosen | set(int(i) for i in fill))
+        support_subj = set(int(subjects[i]) for i in support_idx)
+
+        candidates = [i for i in range(n) if int(subjects[i]) not in support_subj]
+        cand_pos = [i for i in candidates if labels[i] == 1]
+        cand_neg = [i for i in candidates if labels[i] == 0]
+        if len(candidates) < n_val or not cand_pos or not cand_neg:
+            continue
+        q_chosen = {int(rng.choice(cand_pos)), int(rng.choice(cand_neg))}
+        q_rest = np.array(sorted(set(candidates) - q_chosen))
+        if len(q_rest) < n_val - len(q_chosen):
+            continue
+        q_fill = rng.choice(q_rest, size=n_val - len(q_chosen), replace=False)
+        query_idx = sorted(q_chosen | set(int(i) for i in q_fill))
+
+        support = Batch(
+            np.stack([eligible[i].features for i in support_idx]),
+            labels[support_idx],
+        )
+        query = Batch(
+            np.stack([eligible[i].features for i in query_idx]),
+            labels[query_idx],
+        )
+        return Episode(
+            task,
+            support,
+            query,
+            frozenset(support_subj),
+            frozenset(int(subjects[i]) for i in query_idx),
+        )
+    raise PoolExhaustedError(
+        f"pool exhausted for task {task.id}: no subject-disjoint stratified draw "
+        f"found in {max_attempts} attempts"
+    )
 
 
 class ReferenceSampler:

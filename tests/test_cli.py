@@ -282,6 +282,20 @@ def test_meta_train_empty_train_split_fails_cleanly(tmp_path, data_dir, capsys):
     assert str(data / "train.tsv") in err
 
 
+def test_meta_train_bad_cell_fails_naming_file_line_and_column(tmp_path, data_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    lines = (data / "train.tsv").read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[3] = "nan"
+    lines[2] = "\t".join(cells)
+    (data / "train.tsv").write_text("\n".join(lines) + "\n")
+    rc = main(["meta-train", "--out", str(tmp_path / "out"), "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[meta-train] {data / 'train.tsv'}:3: f1 must be a finite number, got 'nan'")
+
+
 # ------------------------------------------------------------------- curves
 
 

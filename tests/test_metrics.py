@@ -1,19 +1,12 @@
-"""Tests for ROC-AUC and the observation / reward signals built on it."""
+"""Tests for ROC-AUC."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curmeta.metrics import (
-    DegenerateAucError,
-    Observation,
-    Reward,
-    compute_auc,
-    observation,
-    reward,
-)
-from oracles import concordance_auc
+from curmeta.metrics import DegenerateAucError, compute_auc
+from oracles import concordance_auc, reference_auc
 
 
 # -------------------------------------------------------------- hand cases
@@ -90,50 +83,47 @@ def test_auc_matches_concordance_on_tied_instances():
         assert abs(compute_auc(scores, labels) - concordance_auc(scores, labels)) < 1e-12
 
 
-# ------------------------------------------------------ observation / reward
+# ------------------------------------------------------------- stacked rows
 
 
-def test_observation_value_range():
-    assert Observation(0.0).value == 0.0
-    assert Observation(1.0).value == 1.0
-    assert Observation(-1.0).value == -1.0
-    with pytest.raises(ValueError):
-        Observation(1.5)
-    with pytest.raises(ValueError):
-        Observation(-1.5)
+@pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tied"])
+def test_stacked_auc_rows_equal_reference_bit_for_bit(ties):
+    rng = np.random.default_rng(7 + ties)
+    for _ in range(300):
+        b, m = int(rng.integers(1, 9)), int(rng.integers(2, 121))
+        if ties:
+            scores = rng.integers(0, int(rng.integers(1, 5)) + 1, size=(b, m)).astype(float)
+        else:
+            scores = rng.random((b, m))
+        labels = rng.integers(0, 2, size=(b, m))
+        labels[:, rng.permutation(m)[:2]] = [0, 1]
+        rows = compute_auc(scores, labels)
+        assert isinstance(rows, np.ndarray) and rows.shape == (b,)
+        for row in range(b):
+            want = reference_auc(scores[row], labels[row])
+            one = compute_auc(scores[row], labels[row])
+            assert isinstance(one, float)
+            assert rows[row].hex() == want.hex() == one.hex()
 
 
-def test_reward_value_range():
-    assert Reward(2.0).value == 2.0
-    assert Reward(-2.0).value == -2.0
-    with pytest.raises(ValueError):
-        Reward(2.5)
-    with pytest.raises(ValueError):
-        Reward(-2.5)
+def test_stacked_auc_broadcast_labels():
+    scores = np.array([[0.9, 0.1, 0.4], [0.4, 0.9, 0.4]])
+    labels = np.broadcast_to(np.array([1, 0, 0]), scores.shape)
+    assert compute_auc(scores, labels).tolist() == [1.0, 0.25]
 
 
-def test_observation_is_after_minus_before():
-    obs = observation(0.8, 0.6)
-    assert obs.value == pytest.approx(0.2, abs=1e-15)
-    assert observation(0.3, 0.9).value == pytest.approx(-0.6, abs=1e-15)
+def test_stacked_auc_degenerate_row_raises():
+    scores = np.arange(12.0).reshape(3, 4)
+    labels = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0]])
+    with pytest.raises(DegenerateAucError, match="row 1: degenerate AUC"):
+        compute_auc(scores, labels)
 
 
-def test_observation_validates_auc_inputs():
-    with pytest.raises(ValueError):
-        observation(1.2, 0.5)
-    with pytest.raises(ValueError):
-        observation(0.5, -0.1)
-
-
-def test_reward_is_observation_difference():
-    r = reward(Observation(0.4), Observation(-0.3))
-    assert r.value == pytest.approx(0.7, abs=1e-15)
-
-
-def test_reward_extremes_allowed():
-    # best-to-worst swing spans the full [-2, 2] interval
-    assert reward(Observation(1.0), Observation(-1.0)).value == 2.0
-    assert reward(Observation(-1.0), Observation(1.0)).value == -2.0
+def test_auc_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="equal shapes"):
+        compute_auc(np.zeros((2, 3)), np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError, match="got shape"):
+        compute_auc(np.zeros((1, 2, 2)), np.array([[[0, 1], [0, 1]]]))
 
 
 # ------------------------------------------------------------ property based

@@ -17,6 +17,7 @@ from curmeta.tasks import (
     TASKS,
     Episode,
     PoolExhaustedError,
+    Samples,
     SourceConfig,
     SourceSample,
     SplitDataset,
@@ -31,6 +32,7 @@ from curmeta.tasks import (
     write_samples,
     write_split_dataset,
 )
+from oracles import reference_sample_episode
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,45 @@ def test_source_sample_validation():
         SourceSample(np.zeros(2), 0, -1)
 
 
+@pytest.mark.parametrize(
+    "features, classes, subjects, match",
+    [
+        (np.zeros(3), [0, 1, 2], [0, 1, 2], r"features must be \(n, d\)"),
+        (np.zeros((3, 2, 1)), [0, 1, 2], [0, 1, 2], r"features must be \(n, d\)"),
+        (np.zeros((3, 2)), [0, 1], [0, 1, 2], "classes"),
+        (np.zeros((3, 2)), [0, 1, 2], [[0, 1, 2]], "subjects"),
+        (np.zeros((3, 2)), [0, 3, 2], [0, 1, 2], "class must be 0, 1 or 2, got 3"),
+        (np.zeros((3, 2)), [0, -1, 2], [0, 1, 2], "class must be 0, 1 or 2, got -1"),
+        (np.zeros((3, 2)), [0.0, 1.5, 2.0], [0, 1, 2], "classes must be integers"),
+        (np.zeros((3, 2)), [0, 1, 2], [0, -4, 2], "subject_id must be >= 0, got -4"),
+        (np.zeros((3, 2)), [0, 1, 2], ["a", "b", "c"], "subjects must be integers"),
+    ],
+)
+def test_samples_rejects_bad_arrays(features, classes, subjects, match):
+    with pytest.raises(ValueError, match=match):
+        Samples(features, classes, subjects)
+
+
+def test_samples_read_as_source_sample_rows(small_data):
+    train = small_data.train
+    assert train.features.shape == (len(train), 4)
+    assert train.classes.dtype == train.subjects.dtype == np.int64
+    rows = list(train)
+    assert all(isinstance(r, SourceSample) for r in rows)
+    assert np.array_equal(train[3].features, train.features[3])
+    assert (train[-1].source_class, train[-1].subject_id) == (rows[-1].source_class, rows[-1].subject_id)
+    head = train[:5]
+    assert isinstance(head, Samples) and len(head) == 5
+    assert np.array_equal(head.features, train.features[:5])
+    both = head + rows[5:7]
+    assert len(both) == 7 and np.array_equal(both.subjects, train.subjects[:7])
+    again = Samples.from_rows(rows)
+    for name in ("features", "classes", "subjects"):
+        assert np.array_equal(getattr(again, name), getattr(train, name))
+    with pytest.raises(ValueError, match="share one feature dimension"):
+        Samples.from_rows([SourceSample(np.zeros(2), 0, 0), SourceSample(np.zeros(3), 0, 1)])
+
+
 # --------------------------------------------------------------- map_labels
 
 
@@ -281,6 +322,42 @@ def test_sample_episode_never_overlaps_subjects(small_data):
         assert not ep.support_subjects & ep.query_subjects
 
 
+SIZES = ((4, 4), (2, 2), (6, 3), (3, 6))
+# what the draws below meet besides episodes: a pool too small for the sizes,
+# and subject-disjoint draws that fail every attempt
+EXHAUSTION = {(0, 1): {"size"}, (0, 2): {"attempts"}, (1, 1): {"size", "attempts"}}
+
+
+@pytest.mark.parametrize("samples_per_subject", [1, 2, 5])
+@pytest.mark.parametrize("data_seed", [0, 1])
+def test_sample_episode_equals_object_list_reference(data_seed, samples_per_subject):
+    # a small source, so draws retry and the pool runs out as well
+    data = generate_source(SourceConfig(dim=3, seed=data_seed), 24, samples_per_subject)
+    rows = list(data.train)
+    rng, ref_rng = np.random.default_rng(data_seed), np.random.default_rng(data_seed)
+    outcomes = set()
+    for i in range(2000):
+        task, (n_tr, n_val) = TASKS[i % 5], SIZES[i // 5 % 4]
+        try:
+            ref = reference_sample_episode(task, rows, n_tr, n_val, ref_rng, max_attempts=20)
+        except PoolExhaustedError as e:
+            with pytest.raises(PoolExhaustedError) as got:
+                sample_episode(task, data.train, n_tr, n_val, rng, max_attempts=20)
+            assert str(got.value) == str(e)
+            outcomes.add("attempts" if "attempts" in str(e) else "size")
+        else:
+            ep = sample_episode(task, data.train, n_tr, n_val, rng, max_attempts=20)
+            assert ep.task is task
+            for got, want in ((ep.support, ref.support), (ep.query, ref.query)):
+                assert np.array_equal(got.inputs, want.inputs)
+                assert np.array_equal(got.labels, want.labels)
+            assert ep.support_subjects == ref.support_subjects
+            assert ep.query_subjects == ref.query_subjects
+            outcomes.add("episode")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert outcomes == {"episode"} | EXHAUSTION.get((data_seed, samples_per_subject), set())
+
+
 def test_episode_validates_disjointness(small_data):
     ep = sample_episode(K1, small_data.train, 4, 4, np.random.default_rng(1))
     with pytest.raises(ValueError):
@@ -351,3 +428,38 @@ def test_read_split_dataset_rejects_empty_train_split(tmp_path, small_data):
     write_samples(tmp_path / "train.tsv", [])
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'train.tsv'}: ")):
         read_split_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (1, "3", "class must be 0, 1 or 2, got '3'"),
+        (1, "x", "class must be 0, 1 or 2, got 'x'"),
+        (4, "abc", "f2 must be a finite number, got 'abc'"),
+        (0, "-1", "subject_id must be an integer >= 0, got '-1'"),
+        (3, "nan", "f1 must be a finite number, got 'nan'"),
+    ],
+)
+def test_read_samples_rejects_bad_cells_naming_line_and_column(tmp_path, small_data, column, value, message):
+    path = tmp_path / "samples.tsv"
+    write_samples(path, small_data.train[:4])
+    lines = path.read_text().splitlines()
+    cells = lines[3].split("\t")
+    cells[column] = value
+    lines[3] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as e:
+        read_samples(path)
+    assert str(e.value) == f"{path}:4: {message}"
+
+
+def test_samples_tsv_bytes_are_unchanged_by_a_round_trip(tmp_path, small_data):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    write_samples(a, small_data.train)
+    write_samples(b, read_samples(a))
+    assert a.read_bytes() == b.read_bytes()
+    rows = a.read_text().splitlines()
+    first = small_data.train[0]
+    assert rows[1] == "\t".join(
+        [str(first.subject_id), str(first.source_class)] + [f"{x:.17g}" for x in first.features]
+    )
