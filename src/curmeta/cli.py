@@ -2,8 +2,9 @@
 
 Subcommands cover the full experiment lifecycle: generate data, meta-train
 an initialization, fine-tune it on a task, evaluate a checkpoint, run the
-comparison sweep, and extract learning curves from a run log.  Failures exit
-with status 1 and a single "[stage] message" line on stderr.
+comparison sweep, and extract learning curves from a run log.  Each subcommand
+is the stage of its name: a failure exits with status 1 and a single
+"[stage] message" line on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -19,6 +21,7 @@ from .harness import (
     default_plan,
     emit_curves,
     run_sweep,
+    stage,
     write_manifest,
 )
 from .meta import (
@@ -45,30 +48,17 @@ from .tasks import (
     write_split_dataset,
 )
 
-META_FLAG_FIELDS = {
-    "seed": "seed",
-    "sampler": "sampler",
-    "meta_batch": "meta_batch_size",
-    "no_target_task": "exclude_target_task",
-    "gradient_mode": "gradient_mode",
-    "adaptation_rate": "adaptation_rate",
-    "meta_rate": "meta_rate",
-    "meta_updates": "meta_updates",
-    "inner_steps": "inner_steps",
-    "n_tr": "n_tr",
-    "n_val": "n_val",
-}
-
-
 def _add_meta_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and the meta-training flags, each stored under its ``MetaConfig`` field name."""
     parser.add_argument("--config", type=Path, help="JSON file of meta-training fields")
     parser.add_argument("--seed", type=int, help="meta-training seed")
     parser.add_argument("--sampler", choices=[k.value for k in SamplerKind])
-    parser.add_argument("--meta-batch", type=int, help="tasks per meta-update")
+    parser.add_argument("--meta-batch", type=int, dest="meta_batch_size", help="tasks per meta-update")
     parser.add_argument(
         "--no-target-task",
         action="store_const",
         const=True,
+        dest="exclude_target_task",
         help="drop the target task from the meta-training pool",
     )
     parser.add_argument("--gradient-mode", choices=["first", "second"])
@@ -87,8 +77,8 @@ def build_meta_config(args) -> MetaConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         fields.update(doc)
-    for flag, name in META_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
+    for name in MetaConfig.__dataclass_fields__:
+        value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
     try:
@@ -112,136 +102,103 @@ def load_data(args):
 
 
 def cmd_generate(args) -> int:
-    try:
-        seed = args.data_seed if args.data_seed is not None else 0
-        data = generate_source(SourceConfig(seed=seed, dim=args.dim), args.n_subjects)
-        paths = write_split_dataset(args.out, data)
-        write_manifest(
-            args.out,
-            paths.values(),
-            config={"dim": args.dim, "n_subjects": args.n_subjects},
-            seeds={"data_seed": seed},
-        )
-    except Exception as e:
-        raise StageError("generate", str(e)) from e
+    seed = args.data_seed if args.data_seed is not None else 0
+    data = generate_source(SourceConfig(seed=seed, dim=args.dim), args.n_subjects)
+    paths = write_split_dataset(args.out, data)
+    write_manifest(
+        args.out,
+        paths.values(),
+        config={"dim": args.dim, "n_subjects": args.n_subjects},
+        seeds={"data_seed": seed},
+    )
     print(f"wrote {len(paths)} splits to {args.out}")
     return 0
 
 
 def cmd_meta_train(args) -> int:
-    try:
-        config = build_meta_config(args)
-        data = load_data(args)
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("meta-train", str(e)) from e
-    try:
-        arch = default_architecture(data.train.features.shape[1], args.hidden)
-        model, log = meta_train(arch, config, data)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = out / "checkpoint.json"
-        save_checkpoint(ckpt, model)
-        log_path = out / "run_log.tsv"
-        log_path.write_text(log.to_tsv())
-        write_manifest(
-            out,
-            [ckpt, log_path],
-            config=config_to_dict(config),
-            seeds={"seed": config.seed, "data_seed": args.data_seed},
-        )
-    except Exception as e:
-        raise StageError("meta-train", str(e)) from e
+    config = build_meta_config(args)
+    data = load_data(args)
+    arch = default_architecture(data.train.features.shape[1], args.hidden)
+    model, log = meta_train(arch, config, data)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / "checkpoint.json"
+    save_checkpoint(ckpt, model)
+    log_path = out / "run_log.tsv"
+    log_path.write_text(log.to_tsv())
+    write_manifest(
+        out,
+        [ckpt, log_path],
+        config=config_to_dict(config),
+        seeds={"seed": config.seed, "data_seed": args.data_seed},
+    )
     print(f"meta-trained {config.meta_updates} updates, checkpoint at {ckpt}")
     return 0
 
 
 def cmd_fine_tune(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-        data = load_data(args)
-        task = TASK_BY_ID[args.task]
-        ft = FineTuneConfig(
-            learning_rate=args.learning_rate, batch_size=args.batch_size, epochs=args.epochs
-        )
-        seed = args.seed if args.seed is not None else 0
-        tuned = fine_tune(model, task, data, ft, rng=derive_stream(seed, 1))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = out / "checkpoint.json"
-        save_checkpoint(ckpt, tuned)
-        write_manifest(
-            out,
-            [ckpt],
-            config={"task": args.task, "fine_tune": config_to_dict(ft)},
-            seeds={"seed": seed, "data_seed": args.data_seed},
-        )
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("fine-tune", str(e)) from e
+    model = load_checkpoint(args.checkpoint)
+    data = load_data(args)
+    task = TASK_BY_ID[args.task]
+    ft = FineTuneConfig(
+        learning_rate=args.learning_rate, batch_size=args.batch_size, epochs=args.epochs
+    )
+    seed = args.seed if args.seed is not None else 0
+    tuned = fine_tune(model, task, data, ft, rng=derive_stream(seed, 1))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / "checkpoint.json"
+    save_checkpoint(ckpt, tuned)
+    write_manifest(
+        out,
+        [ckpt],
+        config={"task": args.task, "fine_tune": config_to_dict(ft)},
+        seeds={"seed": seed, "data_seed": args.data_seed},
+    )
     print(f"fine-tuned on {args.task}, checkpoint at {ckpt}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-        data = load_data(args)
-        task = TASK_BY_ID[args.task]
-        batch = map_labels(task, getattr(data, args.split))
-        auc = compute_auc(infer(model, batch.inputs), batch.labels)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        result = out / "result.json"
-        result.write_text(
-            json.dumps(
-                {"task": args.task, "split": args.split, "auc": auc}, indent=2, sort_keys=True
-            )
-            + "\n"
-        )
-        write_manifest(
-            out,
-            [result],
-            config={"task": args.task, "split": args.split},
-            seeds={"data_seed": args.data_seed},
-        )
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("evaluate", str(e)) from e
+    model = load_checkpoint(args.checkpoint)
+    data = load_data(args)
+    task = TASK_BY_ID[args.task]
+    batch = map_labels(task, getattr(data, args.split))
+    auc = compute_auc(infer(model, batch.inputs), batch.labels)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    result = out / "result.json"
+    result.write_text(
+        json.dumps({"task": args.task, "split": args.split, "auc": auc}, indent=2, sort_keys=True)
+        + "\n"
+    )
+    write_manifest(
+        out,
+        [result],
+        config={"task": args.task, "split": args.split},
+        seeds={"data_seed": args.data_seed},
+    )
     print(f"{args.task} {args.split} AUC: {auc:.6f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        plan = default_plan(
-            meta_updates=args.meta_updates,
-            repetitions=args.repetitions,
-            data_seed=args.data_seed if args.data_seed is not None else 0,
-            run_seed=args.run_seed,
-            include_baselines=not args.no_baselines,
-        )
-        table = run_sweep(plan, args.out)
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("sweep", str(e)) from e
-    print(table.render_text(), end="")
+    plan = default_plan(
+        meta_updates=args.meta_updates,
+        repetitions=args.repetitions,
+        data_seed=args.data_seed if args.data_seed is not None else 0,
+        run_seed=args.run_seed,
+        include_baselines=not args.no_baselines,
+    )
+    plan = replace(plan, n_subjects=args.n_subjects, fine_tune=FineTuneConfig(epochs=args.ft_epochs))
+    print(run_sweep(plan, args.out).render_text(), end="")
     return 0
 
 
 def cmd_curves(args) -> int:
-    try:
-        log = RunLog.from_tsv(Path(args.log).read_text())
-        paths = emit_curves(log, args.out, window=args.window)
-        write_manifest(args.out, paths.values(), config={"window": args.window})
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("curves", str(e)) from e
+    log = RunLog.from_tsv(Path(args.log).read_text())
+    paths = emit_curves(log, args.out, window=args.window)
+    write_manifest(args.out, paths.values(), config={"window": args.window})
     print(f"wrote curves for {len(log.records)} meta-updates to {args.out}")
     return 0
 
@@ -292,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument("--data-seed", type=int)
     p.add_argument("--run-seed", type=int, default=0)
+    p.add_argument("--n-subjects", type=int, default=117)
+    p.add_argument("--ft-epochs", type=int, default=200, help="fine-tune epochs per run")
     p.add_argument("--no-baselines", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -307,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with stage(args.command):
+            return args.func(args)
     except StageError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -84,7 +84,7 @@ def write_manifest(out_dir, paths, config: dict | None = None, seeds: dict | Non
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
     """Re-raise any failure inside the block as a StageError of stage ``name``."""
     try:
         yield
@@ -110,11 +110,11 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_data(self, data) -> None:
-        with _stage("generate"):
+        with stage("generate"):
             self.written += write_split_dataset(self.out_dir / "data", data).values()
 
     def pretrain(self, arch, data, mt_iterations: int, mt_rate: float) -> TrainedModel:
-        with _stage("meta-train"):
+        with stage("meta-train"):
             if isinstance(self.recipe, MetaConfig):
                 model, log = meta_train(arch, replace(self.recipe, seed=self.run_seed), data)
                 log_path = self.out_dir / "run_log.tsv"
@@ -136,13 +136,13 @@ class _Run:
 
     def finish(self, final, data) -> dict:
         """Checkpoint and score the fine-tuned model (or re-raise its fine-tune failure)."""
-        with _stage("fine-tune"):
+        with stage("fine-tune"):
             if isinstance(final, Exception):
                 raise final
             ckpt_path = self.out_dir / "checkpoint.json"
             save_checkpoint(ckpt_path, final)
             self.written.append(ckpt_path)
-        with _stage("evaluate"):
+        with stage("evaluate"):
             test = map_labels(K5, data.test)
             test_auc = compute_auc(infer(final, test.inputs), test.labels)
 
@@ -191,13 +191,13 @@ def run_pipeline(
     ft = ft if ft is not None else FineTuneConfig()
     if isinstance(recipe, str) and recipe not in BASELINE_KINDS:
         raise StageError("pretrain", f"unknown pipeline designator {recipe!r}")
-    with _stage("generate"):
+    with stage("generate"):
         src = source if source is not None else SourceConfig(seed=data_seed)
         data = generate_source(src, n_subjects)
     run.write_data(data)
     arch = arch if arch is not None else default_architecture(src.dim)
     model = run.pretrain(arch, data, mt_iterations, mt_rate)
-    with _stage("fine-tune"):
+    with stage("fine-tune"):
         final = fine_tune(model, K5, data, ft, rng=derive_stream(run_seed, 1))
     return run.finish(final, data)
 
@@ -452,7 +452,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
             for v in live
         }
         try:
-            with _stage("generate"):
+            with stage("generate"):
                 data = generate_source(SourceConfig(seed=data_seed), plan.n_subjects)
         except StageError as e:
             for label in runs:

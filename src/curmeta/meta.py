@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nets
 from .metrics import compute_auc
-from .nets import Architecture, Batch, ParamVector
+from .nets import Architecture, Batch, ParamVector, _trusted
 from .samplers import SamplerKind, SamplerState, record_outcome, select_batch
 from .tasks import (
     K5,
@@ -483,8 +483,11 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
         labels = np.broadcast_to(train.labels[order], (len(rows), n))
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
-            mini = Batch(inputs[:, start:stop], labels[:, start:stop])
-            params = params - config.learning_rate * nets.grad(arch, params, mini)
+            mini = _trusted(Batch, inputs[:, start:stop], labels[:, start:stop])
+            # params - learning_rate * g, computed in g's buffer
+            g = nets.grad(arch, params, mini)
+            np.multiply(g, config.learning_rate, out=g)
+            params = np.subtract(params, g, out=g)
         finite = np.all(np.isfinite(params), axis=1)
         if not finite.all():
             for r in np.flatnonzero(~finite):

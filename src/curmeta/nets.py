@@ -111,7 +111,7 @@ class Batch:
             raise ValueError(
                 f"labels shape {labels.shape} does not match inputs of shape {inputs.shape}"
             )
-        if not np.all((labels == 0) | (labels == 1)):
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
@@ -126,7 +126,16 @@ class Batch:
         shapes = {b.inputs.shape for b in batches}
         if len(shapes) != 1:
             raise ValueError(f"stacked batches must share one shape, got {sorted(shapes)}")
-        return cls(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+        if batches[0].inputs.ndim != 2:
+            raise ValueError(f"inputs must be (n, d) to stack, got shape {batches[0].inputs.shape}")
+        return _trusted(cls, np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+
+
+def _trusted(cls, *values):
+    """``cls(*values)`` for a frozen dataclass, without its checks: for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def init_params(arch: Architecture, rng: np.random.Generator) -> ParamVector:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import Batch
+from .nets import Batch, _trusted
 
 SPLIT_WEIGHTS = (45, 13, 59)  # train : validation : test subject proportions
 MIN_SUBJECTS_PER_SPLIT = 2
@@ -113,7 +113,9 @@ class Samples:
 
     Reads as a sequence of ``SourceSample`` rows: ``len``, iteration,
     ``samples[i]`` (a row), ``samples[:k]`` (a ``Samples``) and ``+``
-    (concatenation).  Build one from rows with ``Samples.from_rows``.
+    (concatenation).  Build one from rows with ``Samples.from_rows``.  The
+    arrays are read-only copies, so the per-task views that ``sample_episode``
+    caches on the instance never go stale.
     """
 
     features: np.ndarray
@@ -121,7 +123,7 @@ class Samples:
     subjects: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.array(self.features, dtype=np.float64)
         classes = _integer_array(self.classes, "classes")
         subjects = _integer_array(self.subjects, "subjects")
         if features.ndim != 2:
@@ -137,9 +139,32 @@ class Samples:
             raise ValueError(f"class must be 0, 1 or 2, got {classes[bad][0]}")
         if (subjects < 0).any():
             raise ValueError(f"subject_id must be >= 0, got {subjects[subjects < 0][0]}")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "subjects", subjects)
+        for name, values in (("features", features), ("classes", classes), ("subjects", subjects)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "_views", {})
+
+    def _task_view(self, task: TaskDefinition) -> tuple:
+        """The eligible samples of ``task`` in split order, computed once per task value.
+
+        (features, positive mask, int labels, subject ids, subject ranks,
+        positions of the positives, of the negatives); a subject's rank is its
+        index among the distinct subject ids.
+        """
+        if task not in self._views:
+            eligible = np.flatnonzero(task._included[self.classes])
+            positive = task._positive[self.classes[eligible]]
+            subjects = self.subjects[eligible]
+            self._views[task] = (
+                self.features[eligible],
+                positive,
+                positive.astype(np.int64),
+                subjects,
+                np.unique(subjects, return_inverse=True)[1],
+                np.flatnonzero(positive),
+                np.flatnonzero(~positive),
+            )
+        return self._views[task]
 
     @classmethod
     def from_rows(cls, rows) -> "Samples":
@@ -351,15 +376,9 @@ def sample_episode(
     """
     if n_tr < 2 or n_val < 2:
         raise ValueError("n_tr and n_val must be >= 2 so both labels can be present")
-    pool = _as_samples(pool)
     # work in positions 0..n-1 of the eligible samples, in pool order
-    eligible = np.flatnonzero(task._included[pool.classes])
-    positive = task._positive[pool.classes[eligible]]
-    labels = positive.astype(np.int64)
-    subjects = pool.subjects[eligible]
-    n = len(eligible)
-    pos = np.flatnonzero(positive)
-    neg = np.flatnonzero(~positive)
+    features, positive, labels, subjects, rank, pos, neg = _as_samples(pool)._task_view(task)
+    n = len(positive)
     if n < n_tr + n_val or len(pos) == 0 or len(neg) == 0:
         raise PoolExhaustedError(
             f"pool exhausted for task {task.id}: {n} eligible samples "
@@ -368,28 +387,32 @@ def sample_episode(
 
     # Each set draws one positive and one negative, then fills up uniformly
     # from the rest; masks stand for index sets, flatnonzero lists them sorted.
+    # a[rng.integers(len(a))] draws the same stream as rng.choice(a).
     for _ in range(max_attempts):
         rest = np.ones(n, dtype=bool)
-        rest[[rng.choice(pos), rng.choice(neg)]] = False
+        rest[[pos[rng.integers(len(pos))], neg[rng.integers(len(neg))]]] = False
         fill = rng.choice(np.flatnonzero(rest), size=n_tr - 2, replace=False)
         rest[fill] = False
         support_idx = np.flatnonzero(~rest)
 
-        candidates = (subjects[:, None] != subjects[support_idx]).all(axis=1)
+        blocked = np.zeros(n, dtype=bool)  # by subject rank
+        blocked[rank[support_idx]] = True
+        candidates = ~blocked[rank]
         cand_pos = np.flatnonzero(candidates & positive)
         cand_neg = np.flatnonzero(candidates & ~positive)
         if np.count_nonzero(candidates) < n_val or len(cand_pos) == 0 or len(cand_neg) == 0:
             continue
         q_rest = candidates.copy()
-        q_rest[[rng.choice(cand_pos), rng.choice(cand_neg)]] = False
+        q_rest[[cand_pos[rng.integers(len(cand_pos))], cand_neg[rng.integers(len(cand_neg))]]] = False
         q_fill = rng.choice(np.flatnonzero(q_rest), size=n_val - 2, replace=False)
         q_rest[q_fill] = False
         query_idx = np.flatnonzero(candidates & ~q_rest)
 
-        return Episode(
+        return _trusted(  # subject-disjoint and two-label by construction
+            Episode,
             task,
-            Batch(pool.features[eligible[support_idx]], labels[support_idx]),
-            Batch(pool.features[eligible[query_idx]], labels[query_idx]),
+            _trusted(Batch, features[support_idx], labels[support_idx]),
+            _trusted(Batch, features[query_idx], labels[query_idx]),
             frozenset(subjects[support_idx].tolist()),
             frozenset(subjects[query_idx].tolist()),
         )

@@ -353,6 +353,18 @@ def test_sweep_command_reduced(tmp_path, capsys):
     assert len(doc["cells"]) == 12
 
 
+def test_sweep_records_subjects_and_fine_tune_epochs_in_the_plan(tmp_path, capsys):
+    argv = ["sweep", "--out", str(tmp_path), "--meta-updates", "1", "--repetitions", "1"]
+    rc = main([*argv, "--no-baselines", "--n-subjects", "30", "--ft-epochs", "2"])
+    assert rc == 0, capsys.readouterr().err
+    plan = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert plan["n_subjects"] == 30
+    assert plan["fine_tune"]["epochs"] == 2
+    run_dir = tmp_path / "runs" / "bsml-k3-random" / "rep0"
+    # 30 subjects: 12 train subjects with 2 samples each
+    assert len((run_dir / "data" / "train.tsv").read_text().splitlines()) == 1 + 24
+
+
 # -------------------------------------------------------------- entry point
 
 

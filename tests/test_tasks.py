@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curmeta.nets import Batch
 from curmeta.tasks import (
     K1,
     K2,
@@ -21,6 +22,7 @@ from curmeta.tasks import (
     SourceConfig,
     SourceSample,
     SplitDataset,
+    TaskDefinition,
     default_means,
     derive_stream,
     generate_source,
@@ -358,13 +360,56 @@ def test_sample_episode_equals_object_list_reference(data_seed, samples_per_subj
     assert outcomes == {"episode"} | EXHAUSTION.get((data_seed, samples_per_subject), set())
 
 
+def test_sampled_episodes_pass_the_public_constructors():
+    # sample_episode builds its batches and episode unchecked; every one of
+    # them must be what the strict public constructors accept as they are
+    data = generate_source(SourceConfig(seed=4), 117)
+    rng = np.random.default_rng(4)
+    for i in range(2000 * len(TASKS)):
+        task, (n_tr, n_val) = TASKS[i % 5], SIZES[i // 5 % 4]
+        ep = sample_episode(task, data.train, n_tr, n_val, rng)
+        rebuilt = [Batch(b.inputs, b.labels) for b in (ep.support, ep.query)]
+        Episode(task, *rebuilt, ep.support_subjects, ep.query_subjects)
+        for got, want in zip((ep.support, ep.query), rebuilt):
+            assert got.inputs.dtype == want.inputs.dtype and got.labels.dtype == want.labels.dtype
+            assert np.array_equal(got.inputs, want.inputs)
+            assert np.array_equal(got.labels, want.labels)
+
+
+def test_samples_arrays_are_read_only_copies(small_data):
+    for name in ("features", "classes", "subjects"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(small_data.train, name)[0] = 1
+    classes = np.array([0, 1, 2])
+    samples = Samples(np.zeros((3, 2)), classes, [0, 1, 2])
+    classes[0] = 2
+    assert samples.classes.tolist() == [0, 1, 2]
+
+
+def test_task_views_are_cached_per_task_value():
+    # a user task that reuses the id "K1" with other classes gets its own view
+    data = generate_source(SourceConfig(dim=3, seed=5), 40)
+    for task in (K5, K1):
+        sample_episode(task, data.train, 4, 4, np.random.default_rng(0))
+    custom = TaskDefinition("K1", {0, 1}, {1})
+    rows = list(data.train)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(200):
+        ep = sample_episode(custom, data.train, 4, 4, rng)
+        ref = reference_sample_episode(custom, rows, 4, 4, ref_rng)
+        for got, want in ((ep.support, ref.support), (ep.query, ref.query)):
+            assert np.array_equal(got.inputs, want.inputs)
+            assert np.array_equal(got.labels, want.labels)
+        assert (ep.support_subjects, ep.query_subjects) == (ref.support_subjects, ref.query_subjects)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(data.train._views) == 3
+
+
 def test_episode_validates_disjointness(small_data):
     ep = sample_episode(K1, small_data.train, 4, 4, np.random.default_rng(1))
     with pytest.raises(ValueError):
         Episode(K1, ep.support, ep.query, frozenset({1, 2}), frozenset({2, 3}))
     one_label = ep.support.inputs, np.zeros(4, dtype=int)
-    from curmeta.nets import Batch
-
     with pytest.raises(ValueError):
         Episode(K1, Batch(*one_label), ep.query, frozenset({1}), frozenset({2}))
 
