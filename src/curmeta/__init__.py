@@ -36,8 +36,6 @@ from .samplers import (
     SamplerState,
     record_outcome,
     select_batch,
-    select_one_cl,
-    select_one_mab,
 )
 from .meta import (
     FineTuneConfig,

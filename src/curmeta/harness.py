@@ -39,6 +39,7 @@ from .meta import (
     meta_train,
     multitask_train,
     save_checkpoint,
+    stack_key,
 )
 from .nets import Architecture
 from .samplers import SamplerKind
@@ -47,6 +48,7 @@ from .tasks import (
     SourceConfig,
     TASKS,
     derive_stream,
+    format_split_dataset,
     generate_source,
     map_labels,
     write_split_dataset,
@@ -98,7 +100,8 @@ class _Run:
     """One run directory on its way through the pipeline stages after data generation.
 
     ``run_pipeline`` drives one of these; ``run_sweep`` drives every variant
-    of a repetition through the same stages, fine-tuning them together.
+    of a repetition through the same stages, meta-training and fine-tuning
+    them together.
     """
 
     def __init__(self, recipe, out_dir, data_seed: int, run_seed: int):
@@ -110,13 +113,17 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_data(self, data) -> None:
+        """Write the split TSVs; ``data`` is a SplitDataset or its ``format_split_dataset``."""
         with stage("generate"):
             self.written += write_split_dataset(self.out_dir / "data", data).values()
 
-    def pretrain(self, arch, data, mt_iterations: int, mt_rate: float) -> TrainedModel:
+    def pretrain(self, arch, data, mt_iterations: int, mt_rate: float, trained) -> TrainedModel:
+        """The pretrained model; a meta run gets ``trained``, its entry of a ``meta_train`` call."""
         with stage("meta-train"):
             if isinstance(self.recipe, MetaConfig):
-                model, log = meta_train(arch, replace(self.recipe, seed=self.run_seed), data)
+                if isinstance(trained, Exception):
+                    raise trained
+                model, log = trained
                 log_path = self.out_dir / "run_log.tsv"
                 log_path.write_text(log.to_tsv())
                 self.written.append(log_path)
@@ -167,6 +174,34 @@ class _Run:
         return result
 
 
+def _pretrain(runs, arch, data, mt_iterations: int, mt_rate: float) -> list:
+    """Pretrain runs that share data and a run seed; each entry is a model or its StageError.
+
+    The meta runs are meta-trained in lockstep, one ``meta_train`` call per
+    ``stack_key``.
+    """
+    stacks = {}
+    for i, run in enumerate(runs):
+        if isinstance(run.recipe, MetaConfig):
+            stacks.setdefault(stack_key(run.recipe), []).append(i)
+    trained = [None] * len(runs)
+    for members in stacks.values():
+        configs = [replace(runs[i].recipe, seed=runs[i].run_seed) for i in members]
+        try:
+            results = meta_train(arch, configs, data)
+        except Exception as e:  # a failure of the whole call is every member's failure
+            results = [e] * len(members)
+        for i, result in zip(members, results):
+            trained[i] = result
+    models = []
+    for run, result in zip(runs, trained):
+        try:
+            models.append(run.pretrain(arch, data, mt_iterations, mt_rate, result))
+        except StageError as e:
+            models.append(e)
+    return models
+
+
 def run_pipeline(
     recipe,
     out_dir,
@@ -196,7 +231,9 @@ def run_pipeline(
         data = generate_source(src, n_subjects)
     run.write_data(data)
     arch = arch if arch is not None else default_architecture(src.dim)
-    model = run.pretrain(arch, data, mt_iterations, mt_rate)
+    [model] = _pretrain([run], arch, data, mt_iterations, mt_rate)
+    if isinstance(model, StageError):
+        raise model
     with stage("fine-tune"):
         final = fine_tune(model, K5, data, ft, rng=derive_stream(run_seed, 1))
     return run.finish(final, data)
@@ -420,19 +457,40 @@ def default_plan(
     )
 
 
+def _generate(runs: dict, data_seed: int, n_subjects: int):
+    """Generate a repetition's data and write it, formatted once, into every run directory.
+
+    Returns the data and the StageError of each run label that did not get it.
+    """
+    try:
+        with stage("generate"):
+            data = generate_source(SourceConfig(seed=data_seed), n_subjects)
+            texts = format_split_dataset(data)
+    except StageError as e:
+        return None, dict.fromkeys(runs, e)
+    failed = {}
+    for label, run in runs.items():
+        try:
+            run.write_data(texts)
+        except StageError as e:
+            failed[label] = e
+    return data, failed
+
+
 def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     """Run every variant of the plan and write results.json / results.txt.
 
     Repetition r uses data seed ``data_seed + r`` and run seed ``run_seed + r``
     for every variant, so comparisons across variants are paired.  The sweep
-    runs repetition by repetition: it generates the repetition's data once,
-    writes it into each variant's run directory and pretrains each variant,
-    then fine-tunes every pretrained variant in lockstep (one ``fine_tune``
-    call over all of them, which share the data and the mini-batch order),
-    and finally checkpoints and scores each one.  Every run directory is
-    byte-identical to ``run_pipeline`` with the same seeds.  A failing
-    repetition is recorded in the cell's error list and does not abort the
-    sweep.
+    runs repetition by repetition: it generates and formats the repetition's
+    data once and writes it into each variant's run directory, meta-trains
+    the meta variants in lockstep (one ``meta_train`` call per ``stack_key``)
+    and pretrains the baselines, then fine-tunes every pretrained variant in
+    lockstep (one ``fine_tune`` call over all of them, which share the data
+    and the mini-batch order), and finally checkpoints and scores each one.
+    Every run directory is byte-identical to ``run_pipeline`` with the same
+    seeds.  A failing repetition is recorded in the cell's error list and
+    does not abort the sweep.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -451,20 +509,17 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
             )
             for v in live
         }
-        try:
-            with stage("generate"):
-                data = generate_source(SourceConfig(seed=data_seed), plan.n_subjects)
-        except StageError as e:
-            for label in runs:
-                errors[label].append(f"rep{rep}: {e}")
+        data, failed = _generate(runs, data_seed, plan.n_subjects)
+        written = [label for label in runs if label not in failed]
+        models = _pretrain(
+            [runs[label] for label in written], arch, data, plan.mt_iterations, plan.mt_rate
+        )
+        failed.update((label, m) for label, m in zip(written, models) if isinstance(m, StageError))
+        for label, e in failed.items():
+            errors[label].append(f"rep{rep}: {e}")
+        pretrained = {label: m for label, m in zip(written, models) if label not in failed}
+        if not pretrained:
             continue
-        pretrained = {}
-        for label, run in runs.items():
-            try:
-                run.write_data(data)
-                pretrained[label] = run.pretrain(arch, data, plan.mt_iterations, plan.mt_rate)
-            except StageError as e:
-                errors[label].append(f"rep{rep}: {e}")
         try:
             tuned = fine_tune(
                 list(pretrained.values()), K5, data, plan.fine_tune, rng=derive_stream(run_seed, 1)

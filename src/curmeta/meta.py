@@ -131,7 +131,8 @@ class NetLoss:
 
     Anything with this interface can drive the adaptation and meta-gradient
     machinery; tests use closed-form objectives the same way.  ``grad`` must
-    also take params with a leading episode axis (see ``meta_gradient``).
+    also take params with a leading episode axis (see ``meta_gradient``) and
+    return a fresh array, which the adaptation steps overwrite.
     """
 
     def __init__(self, arch: Architecture):
@@ -147,20 +148,36 @@ class NetLoss:
         return nets.hessian_vector_product(self.arch, params, batch, v)
 
 
-def _unroll(objective, params, support, alpha, steps):
-    """Adaptation trajectory [theta_0, ..., theta_steps] on the support loss."""
+def _buffer(steps, shape):
+    """Trajectory buffer for ``_unroll``: one theta of ``shape`` per adaptation step."""
     if steps < 1:
         raise ValueError(f"need at least one adaptation step, got {steps}")
-    trajectory = [np.asarray(params, dtype=np.float64).copy()]
-    for _ in range(steps):
-        theta = trajectory[-1]
-        trajectory.append(theta - alpha * objective.grad(theta, support))
+    return np.empty((steps,) + shape)
+
+
+def _unroll(objective, trajectory, support, alpha):
+    """Adapt on the support loss: trajectory[k] becomes theta_{k+1}.
+
+    On entry theta_0 waits in the last slot, which only the last step
+    overwrites, so the buffer needs one theta per step.  theta_{k+1} = theta_k - alpha *
+    g(theta_k) is computed in the buffer of the gradient ``objective.grad``
+    returns, which must be a fresh array.
+    """
+    theta = trajectory[-1]
+    for k in range(len(trajectory)):
+        g = objective.grad(theta, support)
+        np.multiply(g, alpha, out=g)
+        theta = np.subtract(theta, g, out=trajectory[k])
+        del g  # freed before the next gradient is computed
     return trajectory
 
 
 def inner_adapt(objective, params: ParamVector, support: Batch, alpha: float, steps: int) -> ParamVector:
     """``steps`` full-batch gradient steps on the support loss; input untouched."""
-    return _unroll(objective, params, support, alpha, steps)[-1]
+    params = np.asarray(params, dtype=np.float64)
+    trajectory = _buffer(steps, params.shape)
+    trajectory[-1] = params
+    return _unroll(objective, trajectory, support, alpha)[-1]
 
 
 def _stack(batches):
@@ -171,27 +188,38 @@ def _stack(batches):
     return batches
 
 
-def _meta_gradient(objective, params, episodes, support, query, alpha, steps, mode):
-    """Meta-gradient and stacked adaptation trajectory of a meta-batch.
+def _unstack(batches):
+    """The episodes' own batches of a ``_stack`` result (views into a stacked Batch)."""
+    if isinstance(batches, Batch):
+        return [_trusted(Batch, x, y) for x, y in zip(batches.inputs, batches.labels)]
+    return batches
 
-    ``support`` and ``query`` are the episodes' batches stacked by ``_stack``.
-    The unroll and the query gradient run once for all episodes: theta has a
-    leading episode axis (B, P).  The reverse sweep runs per episode, through
-    theta_{k+1} = theta_k - alpha * g(theta_k): v <- (I - alpha * H(theta_k))
-    v at every inner step.
+
+def _meta_gradients(objective, params, counts, trajectory, support, query, alpha, mode):
+    """Meta-gradient of each group of consecutive episodes, one row per group.
+
+    Group g starts from ``params[g]`` and owns the next ``counts[g]``
+    episodes; ``support`` and ``query`` are the episodes' batches stacked by
+    ``_stack``.  The unroll (into ``trajectory``, a ``_buffer`` with one row
+    per episode) and the query gradient run once for all episodes, and
+    trajectory[-1] ends up holding the adapted params.  The reverse sweep
+    runs per episode, through theta_{k+1} = theta_k - alpha * g(theta_k):
+    v <- (I - alpha * H(theta_k)) v at every inner step.  Each group sums
+    its episodes' gradients in order.
     """
     mode = GradientMode(mode)
-    params = np.asarray(params, dtype=np.float64)
-    theta = np.repeat(params[None, :], len(episodes), axis=0)
-    trajectory = _unroll(objective, theta, support, alpha, steps)
+    group = np.repeat(np.arange(len(counts)), counts)
+    trajectory[-1] = params[group]
+    _unroll(objective, trajectory, support, alpha)
     query_grads = objective.grad(trajectory[-1], query)
-    total = np.zeros_like(params)
-    for b, (ep, v) in enumerate(zip(episodes, query_grads)):
+    totals = np.zeros(params.shape)
+    for b, (batch, v) in enumerate(zip(_unstack(support), query_grads)):
         if mode is GradientMode.SECOND:
-            for theta in reversed(trajectory[:-1]):
-                v = v - alpha * objective.hvp(theta[b], ep.support, v)
-        total += v
-    return total, trajectory
+            # theta_{K-1}, ..., theta_1 from the buffer, then theta_0
+            for theta in (*trajectory[-2::-1, b], params[group[b]]):
+                v = v - alpha * objective.hvp(theta, batch, v)
+        totals[group[b]] += v
+    return totals
 
 
 def meta_gradient(
@@ -214,7 +242,11 @@ def meta_gradient(
         raise ValueError("meta_gradient needs at least one episode")
     support = _stack(ep.support for ep in episodes)
     query = _stack(ep.query for ep in episodes)
-    return _meta_gradient(objective, params, episodes, support, query, alpha, steps, mode)[0]
+    params = np.asarray(params, dtype=np.float64)
+    trajectory = _buffer(steps, (len(episodes),) + params.shape)
+    return _meta_gradients(
+        objective, params[None, :], [len(episodes)], trajectory, support, query, alpha, mode
+    )[0]
 
 
 def positive_probability(arch: Architecture, params: ParamVector, inputs) -> np.ndarray:
@@ -327,13 +359,22 @@ def initial_params(arch: Architecture, seed: int) -> ParamVector:
     return nets.init_params(arch, np.random.default_rng(init_ss))
 
 
+# the fields every config of one lockstep meta-train must share
+STACK_FIELDS = ("n_tr", "n_val", "inner_steps", "adaptation_rate", "gradient_mode", "meta_updates")
+
+
+def stack_key(config: MetaConfig) -> tuple:
+    """Configs with equal keys can be meta-trained in one lockstep ``meta_train`` call."""
+    return tuple(getattr(config, name) for name in STACK_FIELDS)
+
+
 def meta_train(
     arch: Architecture,
-    config: MetaConfig,
+    config: MetaConfig | Sequence[MetaConfig],
     data: SplitDataset,
     task_pool=None,
-    sampler: SamplerState | None = None,
-) -> tuple[TrainedModel, RunLog]:
+    sampler: SamplerState | Sequence[SamplerState | None] | None = None,
+) -> tuple[TrainedModel, RunLog] | list:
     """Run ``config.meta_updates`` meta-updates and return the trained initialization.
 
     Each iteration samples a meta-batch of tasks, draws one episode per task
@@ -341,78 +382,170 @@ def meta_train(
     and records the pre/post-adaptation query AUC of every episode with the
     sampler.  Deterministic given the config seed (the default sampler and all
     episode draws derive their streams from it).
+
+    ``config`` may also be a sequence of configs that share a ``stack_key``
+    (a mixed sequence is rejected, naming the field), with ``sampler`` then
+    None or one entry per config.  They are meta-trained in lockstep: each
+    config selects and draws on its own streams, and the unroll, the query
+    gradient and the AUCs run once per update for all configs' episodes.  The
+    result is a list whose entry i equals ``meta_train(arch, config[i], ...)``
+    bit for bit, or is the exception that call would raise; such a config
+    leaves the stack and the others carry on.  One config is a stack of one.
     """
-    pool = list(task_pool if task_pool is not None else TASKS)
-    if config.exclude_target_task:
-        pool = [t for t in pool if t.id != K5.id]
-    if not pool:
-        raise ValueError("task pool is empty after exclusions")
+    if isinstance(config, MetaConfig):
+        [result] = _meta_train_lockstep(arch, [config], data, task_pool, [sampler])
+        if isinstance(result, Exception):
+            raise result
+        return result
+    configs = list(config)
+    samplers = [None] * len(configs) if sampler is None else list(sampler)
+    if len(samplers) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(samplers)} samplers")
+    return _meta_train_lockstep(arch, configs, data, task_pool, samplers)
 
-    params = initial_params(arch, config.seed)
-    _, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
-    episode_rng = np.random.default_rng(episode_ss)
-    if sampler is None:
-        sampler = SamplerState(config.sampler, rng=np.random.default_rng(sampler_ss))
-    objective = NetLoss(arch)
 
-    records = []
-    for iteration in range(1, config.meta_updates + 1):
-        batch = select_batch(sampler, pool, config.meta_batch_size)
+class _Learner:
+    """One config of a lockstep meta-train: its pool, streams, sampler and records."""
+
+    def __init__(self, config, pool, sampler):
+        self.config = config
+        self.pool = pool
+        _, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
+        self.episode_rng = np.random.default_rng(episode_ss)
+        if sampler is None:
+            sampler = SamplerState(config.sampler, rng=np.random.default_rng(sampler_ss))
+        self.sampler = sampler
+        self.batch = []
+        self.records = []
+
+    def draw(self, iteration, train) -> list:
+        """Select this update's meta-batch and draw one episode per task."""
+        config = self.config
+        self.batch = select_batch(self.sampler, self.pool, config.meta_batch_size)
         episodes = []
-        for task in batch:
+        for task in self.batch:
             try:
                 episodes.append(
-                    sample_episode(task, data.train, config.n_tr, config.n_val, episode_rng)
+                    sample_episode(task, train, config.n_tr, config.n_val, self.episode_rng)
                 )
             except PoolExhaustedError as e:
-                raise PoolExhaustedError(
-                    f"meta-update {iteration}, task {task.id}: {e}"
-                ) from e
+                raise PoolExhaustedError(f"meta-update {iteration}, task {task.id}: {e}") from e
+        return episodes
 
-        query = Batch.stack(ep.query for ep in episodes)
-        grad_total, trajectory = _meta_gradient(
-            objective,
-            params,
-            episodes,
-            Batch.stack(ep.support for ep in episodes),
-            query,
-            config.adaptation_rate,
-            config.inner_steps,
-            config.gradient_mode,
-        )
-        prob_before = positive_probability(arch, trajectory[0], query.inputs)
-        prob_after = positive_probability(arch, trajectory[-1], query.inputs)
-        auc_before = compute_auc(prob_before, query.labels).tolist()
-        auc_after = compute_auc(prob_after, query.labels).tolist()
-
-        params = params - config.meta_rate * grad_total
-        if not np.all(np.isfinite(params)):
-            raise FloatingPointError(f"non-finite parameters after meta-update {iteration}")
-
-        observations, rewards = [], []
-        for task, before, after in zip(batch, auc_before, auc_after):
-            outcome = record_outcome(sampler, task, before, after)
-            observations.append(outcome.observation)
-            rewards.append(outcome.reward)
-
-        records.append(
+    def record(self, iteration, auc_before, auc_after, grad_norm) -> None:
+        """Record the update's outcomes with the sampler and in the run log."""
+        outcomes = [
+            record_outcome(self.sampler, task, before, after)
+            for task, before, after in zip(self.batch, auc_before, auc_after)
+        ]
+        self.records.append(
             MetaUpdateRecord(
                 iteration=iteration,
-                sampler=sampler.kind.value,
-                tasks=tuple(t.id for t in batch),
+                sampler=self.sampler.kind.value,
+                tasks=tuple(t.id for t in self.batch),
                 auc_before=tuple(auc_before),
                 auc_after=tuple(auc_after),
-                observations=tuple(observations),
-                rewards=tuple(rewards),
-                grad_norm=float(np.linalg.norm(grad_total)),
+                observations=tuple(o.observation for o in outcomes),
+                rewards=tuple(o.reward for o in outcomes),
+                grad_norm=grad_norm,
             )
         )
 
-    log = RunLog(tuple(records))
-    model = TrainedModel(
-        arch, params, Provenance(config_to_dict(config), config.seed, log.content_hash())
-    )
-    return model, log
+
+def _meta_train_lockstep(arch, configs, data, task_pool, samplers) -> list:
+    if not configs:
+        raise ValueError("meta_train needs at least one config")
+    for name in STACK_FIELDS:
+        values = [getattr(c, name) for c in configs]
+        if any(v != values[0] for v in values):
+            raise ValueError(
+                f"configs meta-trained in lockstep must share {name}, got {values}"
+            )
+    base_pool = list(task_pool if task_pool is not None else TASKS)
+    results = [None] * len(configs)
+    learners = [None] * len(configs)
+    for i, (config, sampler) in enumerate(zip(configs, samplers)):
+        pool = [t for t in base_pool if t.id != K5.id] if config.exclude_target_task else base_pool
+        if pool:
+            learners[i] = _Learner(config, pool, sampler)
+        else:
+            results[i] = ValueError("task pool is empty after exclusions")
+    rows = [i for i, learner in enumerate(learners) if learner is not None]
+    if not rows:
+        return results
+
+    first = configs[0]
+    alpha, mode = first.adaptation_rate, first.gradient_mode
+    objective = NetLoss(arch)
+    params = np.stack([initial_params(arch, configs[i].seed) for i in rows])  # one row per config
+    rates = np.array([configs[i].meta_rate for i in rows])
+    trajectory = None  # reused while the stack keeps its episode count
+    for iteration in range(1, first.meta_updates + 1):
+        episodes, counts, failed = [], [], {}
+        for r, i in enumerate(rows):
+            try:
+                drawn = learners[i].draw(iteration, data.train)
+            except Exception as e:  # this config's own failure
+                failed[r] = e
+                continue
+            episodes += drawn
+            counts.append(len(drawn))
+        if failed:
+            rows, params, rates = _leave_stack(results, rows, failed, params, rates)
+            if not rows:
+                return results
+
+        if trajectory is None or trajectory.shape[1] != len(episodes):
+            trajectory = _buffer(first.inner_steps, (len(episodes), arch.param_count))
+        query = Batch.stack(ep.query for ep in episodes)
+        support = Batch.stack(ep.support for ep in episodes)
+        del episodes  # the stacks hold copies of their arrays
+        # each config's params repeated over its episodes' rows
+        prob_before = positive_probability(arch, np.repeat(params, counts, axis=0), query.inputs)
+        totals = _meta_gradients(objective, params, counts, trajectory, support, query, alpha, mode)
+        prob_after = positive_probability(arch, trajectory[-1], query.inputs)
+        auc_before = compute_auc(prob_before, query.labels).tolist()
+        auc_after = compute_auc(prob_after, query.labels).tolist()
+        norms = [float(np.linalg.norm(total)) for total in totals]
+
+        np.multiply(totals, rates[:, None], out=totals)
+        params = np.subtract(params, totals, out=totals)
+        finite = np.all(np.isfinite(params), axis=1)
+        stop = 0
+        for r, (i, count) in enumerate(zip(rows, counts)):
+            start, stop = stop, stop + count
+            if finite[r]:
+                learners[i].record(
+                    iteration, auc_before[start:stop], auc_after[start:stop], norms[r]
+                )
+        if not finite.all():
+            failed = {
+                r: FloatingPointError(f"non-finite parameters after meta-update {iteration}")
+                for r in np.flatnonzero(~finite)
+            }
+            rows, params, rates = _leave_stack(results, rows, failed, params, rates)
+            if not rows:
+                return results
+
+    for i, row_params in zip(rows, params):
+        config, log = configs[i], RunLog(tuple(learners[i].records))
+        provenance = Provenance(config_to_dict(config), config.seed, log.content_hash())
+        results[i] = (TrainedModel(arch, row_params.copy(), provenance), log)
+    return results
+
+
+def _leave_stack(results, rows, failed, *stacked):
+    """Take failed rows out of a lockstep stack.
+
+    Stack row r trains entry ``rows[r]`` of ``results``; ``failed`` maps row
+    positions to their errors, which become those entries.  Returns the
+    remaining rows and each stacked array without the failed rows.
+    """
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(failed)] = False
+    for r, error in failed.items():
+        results[rows[r]] = error
+    return ([row for row, ok in zip(rows, keep) if ok], *(a[keep] for a in stacked))
 
 
 # --- fine-tuning and baselines --------------------------------------------------
@@ -490,10 +623,13 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
             params = np.subtract(params, g, out=g)
         finite = np.all(np.isfinite(params), axis=1)
         if not finite.all():
-            for r in np.flatnonzero(~finite):
-                results[rows[r]] = FloatingPointError("non-finite parameters during fine-tuning")
-            rows = [row for row, ok in zip(rows, finite) if ok]
-            params, best_params, best_auc = params[finite], best_params[finite], best_auc[finite]
+            failed = {
+                r: FloatingPointError("non-finite parameters during fine-tuning")
+                for r in np.flatnonzero(~finite)
+            }
+            rows, params, best_params, best_auc = _leave_stack(
+                results, rows, failed, params, best_params, best_auc
+            )
             if not rows:
                 return results
         aucs = val_aucs(params)

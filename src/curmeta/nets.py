@@ -329,14 +329,17 @@ def hessian_vector_product(
         w, _ = layers[i]
         vw, _ = vlayers[i]
         d = derivs[i - 1]
-        s = delta @ w.T
         r_s = r_delta @ w.T + delta @ vw.T
-        new_delta = s * d
         new_r_delta = r_s * d
-        if arch.activation == "tanh":
-            # d = 1 - a^2, so the tangent of d is -2 a r_a
-            new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
-        delta, r_delta = new_delta, new_r_delta
+        # the input layer's gradient needs only r_delta; s feeds delta and the tanh term
+        if i > 1 or arch.activation == "tanh":
+            s = delta @ w.T
+            if arch.activation == "tanh":
+                # d = 1 - a^2, so the tangent of d is -2 a r_a
+                new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
+            if i > 1:
+                delta = s * d
+        r_delta = new_r_delta
     hv.append(r_delta.sum(axis=0))
     hv.append((acts[0].T @ r_delta).ravel())
     return np.concatenate(hv[::-1])

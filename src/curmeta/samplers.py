@@ -66,6 +66,12 @@ class SamplerState:
 
 
 def _select_one_buffered(state: SamplerState, task_pool, signed: bool) -> TaskDefinition:
+    """cl (``signed`` False) and mab (``signed`` True) pick of one task.
+
+    cl takes the task whose uniformly drawn recent reward has the largest
+    magnitude, mab the task whose uniformly drawn recent observation is
+    largest.
+    """
     for task in task_pool:
         if len(state.buffer(task.id)) == 0:
             return task
@@ -75,20 +81,6 @@ def _select_one_buffered(state: SamplerState, task_pool, signed: bool) -> TaskDe
         draws[i] = buf[int(state.rng.integers(len(buf)))]
     keys = draws if signed else np.abs(draws)
     return task_pool[int(np.argmax(keys))]  # argmax takes the first max: lowest index wins ties
-
-
-def select_one_cl(state: SamplerState, task_pool) -> TaskDefinition:
-    """Curriculum pick: task whose uniformly drawn recent reward has the largest magnitude."""
-    if state.kind is not SamplerKind.CL:
-        raise ValueError(f"select_one_cl on a {state.kind.value} sampler")
-    return _select_one_buffered(state, list(task_pool), signed=False)
-
-
-def select_one_mab(state: SamplerState, task_pool) -> TaskDefinition:
-    """Bandit pick: task whose uniformly drawn recent observation is largest (signed)."""
-    if state.kind is not SamplerKind.MAB:
-        raise ValueError(f"select_one_mab on a {state.kind.value} sampler")
-    return _select_one_buffered(state, list(task_pool), signed=True)
 
 
 def select_batch(state: SamplerState, task_pool, batch_size: int) -> list[TaskDefinition]:
@@ -110,9 +102,8 @@ def select_batch(state: SamplerState, task_pool, batch_size: int) -> list[TaskDe
                 f"alltask needs batch size {len(pool)} (one per pool task), got {batch_size}"
             )
         return pool
-    if state.kind is SamplerKind.CL:
-        return [select_one_cl(state, pool) for _ in range(batch_size)]
-    return [select_one_mab(state, pool) for _ in range(batch_size)]
+    signed = state.kind is SamplerKind.MAB
+    return [_select_one_buffered(state, pool, signed) for _ in range(batch_size)]
 
 
 def record_outcome(

@@ -386,27 +386,27 @@ def sample_episode(
         )
 
     # Each set draws one positive and one negative, then fills up uniformly
-    # from the rest; masks stand for index sets, flatnonzero lists them sorted.
+    # from the rest; masks stand for index sets, nonzero()[0] lists them sorted.
     # a[rng.integers(len(a))] draws the same stream as rng.choice(a).
     for _ in range(max_attempts):
         rest = np.ones(n, dtype=bool)
         rest[[pos[rng.integers(len(pos))], neg[rng.integers(len(neg))]]] = False
-        fill = rng.choice(np.flatnonzero(rest), size=n_tr - 2, replace=False)
+        fill = rng.choice(rest.nonzero()[0], size=n_tr - 2, replace=False)
         rest[fill] = False
-        support_idx = np.flatnonzero(~rest)
+        support_idx = (~rest).nonzero()[0]
 
         blocked = np.zeros(n, dtype=bool)  # by subject rank
         blocked[rank[support_idx]] = True
         candidates = ~blocked[rank]
-        cand_pos = np.flatnonzero(candidates & positive)
-        cand_neg = np.flatnonzero(candidates & ~positive)
+        cand_pos = (candidates & positive).nonzero()[0]
+        cand_neg = (candidates & ~positive).nonzero()[0]
         if np.count_nonzero(candidates) < n_val or len(cand_pos) == 0 or len(cand_neg) == 0:
             continue
         q_rest = candidates.copy()
         q_rest[[cand_pos[rng.integers(len(cand_pos))], cand_neg[rng.integers(len(cand_neg))]]] = False
-        q_fill = rng.choice(np.flatnonzero(q_rest), size=n_val - 2, replace=False)
+        q_fill = rng.choice(q_rest.nonzero()[0], size=n_val - 2, replace=False)
         q_rest[q_fill] = False
-        query_idx = np.flatnonzero(candidates & ~q_rest)
+        query_idx = (candidates & ~q_rest).nonzero()[0]
 
         return _trusted(  # subject-disjoint and two-label by construction
             Episode,
@@ -431,6 +431,11 @@ def derive_stream(seed: int, worker: int, stride: int = 1000) -> np.random.Gener
 
 def write_samples(path, samples) -> None:
     """Write samples as TSV: subject_id, class, then one column per feature."""
+    Path(path).write_text(format_samples(samples))
+
+
+def format_samples(samples) -> str:
+    """The TSV text ``write_samples`` writes."""
     samples = _as_samples(samples)
     header = "subject_id\tclass" + "".join(f"\tf{i}" for i in range(samples.features.shape[1]))
     lines = [header]
@@ -439,7 +444,7 @@ def write_samples(path, samples) -> None:
     ):
         feats = "\t".join(f"{x:.17g}" for x in row)
         lines.append(f"{subject}\t{cls}\t{feats}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cell(text: str, column: str, parse, valid, expected: str):
@@ -487,13 +492,24 @@ def read_samples(path) -> Samples:
 SPLIT_FILES = {"train": "train.tsv", "validation": "validation.tsv", "test": "test.tsv"}
 
 
-def write_split_dataset(directory, data: SplitDataset) -> dict[str, Path]:
+def format_split_dataset(data: SplitDataset) -> dict[str, str]:
+    """The TSV text of each split, keyed by split name."""
+    return {name: format_samples(getattr(data, name)) for name in SPLIT_FILES}
+
+
+def write_split_dataset(directory, data) -> dict[str, Path]:
+    """Write each split's TSV into ``directory``.
+
+    ``data`` is a SplitDataset, or its ``format_split_dataset`` texts when the
+    same data goes into many directories.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    texts = data if isinstance(data, dict) else format_split_dataset(data)
     paths = {}
     for name, filename in SPLIT_FILES.items():
         p = directory / filename
-        write_samples(p, getattr(data, name))
+        p.write_text(texts[name])
         paths[name] = p
     return paths
 

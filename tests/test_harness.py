@@ -343,6 +343,37 @@ def test_run_sweep_run_dirs_equal_run_pipeline(tmp_path):
             assert swept == tree_files(alone), (v.label, rep)
 
 
+def test_run_sweep_meta_trains_each_stack_once_per_repetition(tmp_path, monkeypatch):
+    from curmeta import harness
+
+    calls = []
+
+    def counting_meta_train(arch, configs, data, *args, **kwargs):
+        calls.append([(c.sampler.value, c.gradient_mode.value, c.seed) for c in configs])
+        return meta_train(arch, configs, data, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "meta_train", counting_meta_train)
+    first_order = replace(QUICK_META, gradient_mode="first")
+    variants = (
+        Variant("second-random", CellKey("BSML", 2, "random"), meta=QUICK_META),
+        Variant("first-cl", CellKey("FO", 2, "cl"), meta=replace(first_order, sampler="cl")),
+        Variant("plain", CellKey("Plain", 0, ""), baseline="plain"),
+        Variant("second-mab", CellKey("BSML", 2, "mab"), meta=replace(QUICK_META, sampler="mab")),
+        Variant("first-random", CellKey("FO", 2, "random"), meta=first_order),
+    )
+    plan = ExperimentPlan(
+        variants, repetitions=2, run_seed=7, fine_tune=QUICK_FT, hidden=6, n_subjects=30
+    )
+    table = run_sweep(plan, tmp_path)
+    assert calls == [
+        [("random", "second", 7), ("mab", "second", 7)],
+        [("cl", "first", 7), ("random", "first", 7)],
+        [("random", "second", 8), ("mab", "second", 8)],
+        [("cl", "first", 8), ("random", "first", 8)],
+    ]
+    assert all(c.n == 2 and not c.errors for _, c in table.cells)
+
+
 def test_run_sweep_captures_per_repetition_failures(tmp_path):
     broken = MetaConfig(meta_updates=1, sampler="alltask", meta_batch_size=2)
     variants = (
@@ -359,6 +390,15 @@ def test_run_sweep_captures_per_repetition_failures(tmp_path):
     assert "[meta-train]" in cell.errors[0]
     assert table.cell("Plain", 0, "").n == 2  # the rest of the sweep still ran
     assert "failed" in (tmp_path / "results.txt").read_text()
+
+
+def test_run_sweep_records_generate_failures_for_every_variant(tmp_path):
+    table = run_sweep(small_plan(n_subjects=5), tmp_path)  # fewer than 2 subjects per split
+    for model, mb, sampler in (("BSML", 2, "random"), ("Plain", 0, "")):
+        cell = table.cell(model, mb, sampler)
+        assert cell.n == 0 and len(cell.errors) == 2
+        assert all(e.startswith(f"rep{r}: [generate]") for r, e in enumerate(cell.errors))
+    assert not any((tmp_path / "runs").rglob("*.tsv"))
 
 
 # -------------------------------------------------------------------- curves

@@ -464,6 +464,125 @@ def test_meta_train_reports_exhausted_pool_context(small_arch):
         meta_train(small_arch, quick_config(), starved)
 
 
+# ---------------------------------------------------------- lockstep meta_train
+
+
+def assert_same_training(together, alone):
+    """A lockstep result equals an independent meta_train result bit for bit."""
+    (model, log), (model_alone, log_alone) = together, alone
+    assert model.params.tobytes() == model_alone.params.tobytes()
+    assert model.provenance == model_alone.provenance
+    assert log.records == log_alone.records
+    assert log.to_tsv() == log_alone.to_tsv()
+
+
+@pytest.mark.parametrize("mode", ["second", "first"])
+def test_meta_train_lockstep_equals_independent_calls(small_arch, small_data, mode):
+    base = dict(meta_updates=8, inner_steps=2, gradient_mode=mode)
+    configs = [
+        MetaConfig(sampler="random", meta_batch_size=2, seed=3, **base),
+        MetaConfig(sampler="alltask", meta_batch_size=5, seed=3, **base),
+        MetaConfig(sampler="mab", meta_batch_size=3, exclude_target_task=True, seed=4, **base),
+        MetaConfig(sampler="cl", meta_batch_size=4, exclude_target_task=True, seed=3, **base),
+        MetaConfig(sampler="cl", meta_batch_size=1, meta_rate=0.05, seed=5, **base),
+        MetaConfig(sampler="alltask", meta_batch_size=4, exclude_target_task=True, seed=6, **base),
+    ]
+    together = meta_train(small_arch, configs, small_data)
+    assert len(together) == len(configs)
+    for config, result in zip(configs, together):
+        assert_same_training(result, meta_train(small_arch, config, small_data))
+    # a stack of one is the plain call
+    [single] = meta_train(small_arch, configs[:1], small_data)
+    assert_same_training(single, meta_train(small_arch, configs[0], small_data))
+
+
+def test_meta_train_lockstep_uses_each_configs_own_sampler(small_arch, small_data):
+    configs = [quick_config(sampler="cl", seed=1), quick_config(sampler="mab", seed=1)]
+    samplers = [SamplerState("cl", rng=7), None]
+    together = meta_train(small_arch, configs, small_data, sampler=samplers)
+    assert samplers[0].buffers  # outcomes were recorded into the caller's state
+    alone = meta_train(small_arch, configs[0], small_data, sampler=SamplerState("cl", rng=7))
+    assert_same_training(together[0], alone)
+    assert_same_training(together[1], meta_train(small_arch, configs[1], small_data))
+    with pytest.raises(ValueError, match="2 configs but 1 samplers"):
+        meta_train(small_arch, configs, small_data, sampler=samplers[:1])
+
+
+def test_meta_train_lockstep_failing_rows_leave_the_stack(small_arch, small_data):
+    # K3 has 13 eligible training samples here, too few for 7 + 7; K1 has 24
+    from curmeta.tasks import K1, K3
+
+    pool = [K1, K3]
+    base = dict(meta_updates=3, inner_steps=2, n_tr=7, n_val=7)
+    configs = [
+        MetaConfig(sampler="cl", meta_batch_size=1, seed=1, **base),  # K1, then K3 at update 2
+        MetaConfig(sampler="cl", meta_batch_size=2, seed=2, **base),  # survives: K1 always wins
+        MetaConfig(sampler="alltask", meta_batch_size=2, seed=3, **base),  # K3 at update 1
+        MetaConfig(sampler="cl", meta_batch_size=1, meta_rate=1e300, seed=4, **base),  # overflows
+        MetaConfig(sampler="random", meta_batch_size=1, seed=5, **base),
+    ]
+
+    def k1_only():
+        # K3's buffer holds 0.0, so K1 wins every draw (ties go to the lower index)
+        sampler = SamplerState("cl", rng=0)
+        sampler.buffer("K1").append(0.0)
+        sampler.buffer("K3").append(0.0)
+        return sampler
+
+    def samplers():
+        return [None, k1_only(), None, k1_only(), None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = meta_train(small_arch, configs, small_data, pool, samplers())
+        outcomes = []
+        for config, sampler in zip(configs, samplers()):
+            try:
+                outcomes.append(meta_train(small_arch, config, small_data, pool, sampler))
+            except Exception as e:
+                outcomes.append(e)
+    assert isinstance(together[0], PoolExhaustedError)
+    assert str(together[0]).startswith("meta-update 2, task K3: ")
+    assert isinstance(together[2], PoolExhaustedError)
+    assert str(together[2]).startswith("meta-update 1, task K3: ")
+    assert isinstance(together[3], FloatingPointError)
+    for result, alone in zip(together, outcomes):
+        if isinstance(result, Exception):
+            assert type(result) is type(alone) and str(result) == str(alone)
+        else:
+            assert_same_training(result, alone)
+    assert not isinstance(together[1], Exception)
+
+
+def test_meta_train_lockstep_row_with_empty_pool(small_arch, small_data):
+    configs = [quick_config(exclude_target_task=True), quick_config(seed=1)]
+    together = meta_train(small_arch, configs, small_data, task_pool=[K5])
+    assert isinstance(together[0], ValueError)
+    assert "empty after exclusions" in str(together[0])
+    assert_same_training(together[1], meta_train(small_arch, configs[1], small_data, [K5]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_tr", 5),
+        ("n_val", 3),
+        ("inner_steps", 3),
+        ("adaptation_rate", 0.2),
+        ("gradient_mode", "first"),
+        ("meta_updates", 4),
+    ],
+)
+def test_meta_train_lockstep_rejects_mixed_stack_keys(small_arch, small_data, field, value):
+    configs = [quick_config(), quick_config(**{field: value}, seed=1)]
+    with pytest.raises(ValueError, match=f"must share {field}"):
+        meta_train(small_arch, configs, small_data)
+
+
+def test_meta_train_lockstep_needs_a_config(small_arch, small_data):
+    with pytest.raises(ValueError, match="at least one config"):
+        meta_train(small_arch, [], small_data)
+
+
 # ------------------------------------------------------------ inference
 
 

@@ -12,8 +12,6 @@ from curmeta.samplers import (
     SamplerState,
     record_outcome,
     select_batch,
-    select_one_cl,
-    select_one_mab,
 )
 from curmeta.tasks import TASKS
 from oracles import ReferenceSampler
@@ -105,7 +103,7 @@ def test_select_batch_validates_arguments():
 def test_bootstrap_priority_in_pool_order_without_rng():
     state = SamplerState("cl", rng=0)
     before = state.rng.bit_generator.state
-    picks = [select_one_cl(state, POOL) for _ in range(3)]
+    picks = [select_batch(state, POOL, 1)[0] for _ in range(3)]
     # buffers all empty, so the first pool task wins every time and the RNG is untouched
     assert [t.id for t in picks] == ["K1", "K1", "K1"]
     assert state.rng.bit_generator.state == before
@@ -114,13 +112,13 @@ def test_bootstrap_priority_in_pool_order_without_rng():
 def test_bootstrap_skips_primed_tasks():
     state = primed_state("cl", {"K1": [0.5], "K2": [0.5]})
     before = state.rng.bit_generator.state
-    assert select_one_cl(state, POOL).id == "K3"  # first task with an empty buffer
+    assert select_batch(state, POOL, 1)[0].id == "K3"  # first task with an empty buffer
     assert state.rng.bit_generator.state == before
 
 
 def test_bootstrap_mab_same_rule():
     state = primed_state("mab", {"K1": [0.1]})
-    assert select_one_mab(state, POOL).id == "K2"
+    assert select_batch(state, POOL, 1)[0].id == "K2"
 
 
 # --------------------------------------------------------------- selection
@@ -133,7 +131,7 @@ def test_cl_dominant_magnitude_always_wins():
     values["K2"] = [0.1, 0.1]
     state = primed_state("cl", values, rng=0)
     for _ in range(100):
-        assert select_one_cl(state, POOL).id == "K1"
+        assert select_batch(state, POOL, 1)[0].id == "K1"
 
 
 def test_mab_uses_signed_values():
@@ -143,7 +141,7 @@ def test_mab_uses_signed_values():
     values["K2"] = [0.1, 0.1]
     state = primed_state("mab", values, rng=0)
     for _ in range(100):
-        assert select_one_mab(state, POOL).id == "K2"
+        assert select_batch(state, POOL, 1)[0].id == "K2"
 
 
 def test_cl_uses_magnitude_of_negative_rewards():
@@ -151,22 +149,15 @@ def test_cl_uses_magnitude_of_negative_rewards():
     values["K4"] = [-0.9]
     state = primed_state("cl", values, rng=0)
     for _ in range(50):
-        assert select_one_cl(state, POOL).id == "K4"
+        assert select_batch(state, POOL, 1)[0].id == "K4"
 
 
 def test_ties_break_toward_lowest_pool_index():
     values = {t.id: [0.2] for t in POOL}
     state = primed_state("cl", values, rng=0)
-    assert select_one_cl(state, POOL).id == "K1"
+    assert select_batch(state, POOL, 1)[0].id == "K1"
     state = primed_state("mab", values, rng=0)
-    assert select_one_mab(state, POOL).id == "K1"
-
-
-def test_select_one_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        select_one_cl(SamplerState("mab"), POOL)
-    with pytest.raises(ValueError):
-        select_one_mab(SamplerState("cl"), POOL)
+    assert select_batch(state, POOL, 1)[0].id == "K1"
 
 
 def test_buffered_selection_draws_once_per_pool_task():
@@ -174,7 +165,7 @@ def test_buffered_selection_draws_once_per_pool_task():
     values = {t.id: [0.1, 0.2, 0.3] for t in POOL}
     state = primed_state("cl", values, rng=77)
     shadow = np.random.default_rng(77)
-    select_one_cl(state, POOL)
+    select_batch(state, POOL, 1)
     for _ in POOL:
         shadow.integers(3)
     assert state.rng.bit_generator.state == shadow.bit_generator.state
