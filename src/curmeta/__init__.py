@@ -18,7 +18,6 @@ from .tasks import (
     PoolExhaustedError,
     Samples,
     SourceConfig,
-    SourceSample,
     SplitDataset,
     TASKS,
     TASK_BY_ID,

@@ -42,6 +42,7 @@ from .tasks import (
     SourceConfig,
     TASK_BY_ID,
     derive_stream,
+    format_split_dataset,
     generate_source,
     map_labels,
     read_split_dataset,
@@ -104,7 +105,7 @@ def load_data(args):
 def cmd_generate(args) -> int:
     seed = args.data_seed if args.data_seed is not None else 0
     data = generate_source(SourceConfig(seed=seed, dim=args.dim), args.n_subjects)
-    paths = write_split_dataset(args.out, data)
+    paths = write_split_dataset(args.out, format_split_dataset(data))
     write_manifest(
         args.out,
         paths.values(),

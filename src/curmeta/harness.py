@@ -97,12 +97,7 @@ def stage(name: str):
 
 
 class _Run:
-    """One run directory on its way through the pipeline stages after data generation.
-
-    ``run_pipeline`` drives one of these; ``run_sweep`` drives every variant
-    of a repetition through the same stages, meta-training and fine-tuning
-    them together.
-    """
+    """One run directory of a repetition: its recipe, seeds and the artifacts written so far."""
 
     def __init__(self, recipe, out_dir, data_seed: int, run_seed: int):
         self.recipe = recipe
@@ -111,11 +106,6 @@ class _Run:
         self.run_seed = run_seed
         self.written: list[Path] = []
         self.out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write_data(self, data) -> None:
-        """Write the split TSVs; ``data`` is a SplitDataset or its ``format_split_dataset``."""
-        with stage("generate"):
-            self.written += write_split_dataset(self.out_dir / "data", data).values()
 
     def pretrain(self, arch, data, mt_iterations: int, mt_rate: float, trained) -> TrainedModel:
         """The pretrained model; a meta run gets ``trained``, its entry of a ``meta_train`` call."""
@@ -174,32 +164,61 @@ class _Run:
         return result
 
 
-def _pretrain(runs, arch, data, mt_iterations: int, mt_rate: float) -> list:
-    """Pretrain runs that share data and a run seed; each entry is a model or its StageError.
+def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) -> list:
+    """Take runs that share data and a run seed through every stage.
 
-    The meta runs are meta-trained in lockstep, one ``meta_train`` call per
-    ``stack_key``.
+    Generates the data and formats its TSVs once, writes them into each run
+    directory, meta-trains the meta runs in lockstep (one ``meta_train`` call
+    per ``stack_key``) and pretrains the baselines, fine-tunes every
+    pretrained run in lockstep (one ``fine_tune`` call: the runs share the
+    data and the mini-batch order), then checkpoints and scores each one.
+    Returns each run's result record or the StageError that stopped it.
     """
+    if not runs:
+        return []
+    try:
+        with stage("generate"):
+            data = generate_source(source, n_subjects)
+            texts = format_split_dataset(data)
+    except StageError as e:
+        return [e] * len(runs)
+    outcomes = [None] * len(runs)
     stacks = {}
     for i, run in enumerate(runs):
+        try:
+            with stage("generate"):
+                run.written += write_split_dataset(run.out_dir / "data", texts).values()
+        except StageError as e:
+            outcomes[i] = e
+            continue
         if isinstance(run.recipe, MetaConfig):
             stacks.setdefault(stack_key(run.recipe), []).append(i)
-    trained = [None] * len(runs)
+    trained = {}
     for members in stacks.values():
         configs = [replace(runs[i].recipe, seed=runs[i].run_seed) for i in members]
         try:
-            results = meta_train(arch, configs, data)
+            trained.update(zip(members, meta_train(arch, configs, data)))
         except Exception as e:  # a failure of the whole call is every member's failure
-            results = [e] * len(members)
-        for i, result in zip(members, results):
-            trained[i] = result
-    models = []
-    for run, result in zip(runs, trained):
+            trained.update(dict.fromkeys(members, e))
+    models = {}
+    for i, run in enumerate(runs):
+        if outcomes[i] is None:
+            try:
+                models[i] = run.pretrain(arch, data, mt_iterations, mt_rate, trained.get(i))
+            except StageError as e:
+                outcomes[i] = e
+    if models:
         try:
-            models.append(run.pretrain(arch, data, mt_iterations, mt_rate, result))
-        except StageError as e:
-            models.append(e)
-    return models
+            rng = derive_stream(runs[0].run_seed, 1)
+            tuned = fine_tune(list(models.values()), K5, data, ft, rng=rng)
+        except Exception as e:  # a failure of the whole call is every run's failure
+            tuned = [e] * len(models)
+        for i, final in zip(models, tuned):
+            try:
+                outcomes[i] = runs[i].finish(final, data)
+            except StageError as e:
+                outcomes[i] = e
+    return outcomes
 
 
 def run_pipeline(
@@ -221,22 +240,20 @@ def run_pipeline(
     and fine-tunes from a fresh initialization, "multitask" pretrains with the
     joint multi-head baseline.  Artifacts: data/ split TSVs, run_log.tsv (meta
     only), checkpoint.json (fine-tuned model), result.json, manifest.json.
+    A pipeline is a repetition of one run, so a sweep's run directory equals
+    the pipeline with the same seeds.
     """
-    run = _Run(recipe, out_dir, data_seed, run_seed)
-    ft = ft if ft is not None else FineTuneConfig()
     if isinstance(recipe, str) and recipe not in BASELINE_KINDS:
         raise StageError("pretrain", f"unknown pipeline designator {recipe!r}")
     with stage("generate"):
-        src = source if source is not None else SourceConfig(seed=data_seed)
-        data = generate_source(src, n_subjects)
-    run.write_data(data)
-    arch = arch if arch is not None else default_architecture(src.dim)
-    [model] = _pretrain([run], arch, data, mt_iterations, mt_rate)
-    if isinstance(model, StageError):
-        raise model
-    with stage("fine-tune"):
-        final = fine_tune(model, K5, data, ft, rng=derive_stream(run_seed, 1))
-    return run.finish(final, data)
+        source = source if source is not None else SourceConfig(seed=data_seed)
+    arch = arch if arch is not None else default_architecture(source.dim)
+    ft = ft if ft is not None else FineTuneConfig()
+    run = _Run(recipe, out_dir, data_seed, run_seed)
+    [result] = _run_repetition([run], source, n_subjects, arch, ft, mt_iterations, mt_rate)
+    if isinstance(result, StageError):
+        raise result
+    return result
 
 
 # --- result tables --------------------------------------------------------------
@@ -405,7 +422,6 @@ def default_plan(
     data_seed: int = 0,
     run_seed: int = 0,
     include_baselines: bool = True,
-    mt_iterations: int | None = None,
 ) -> ExperimentPlan:
     """The full comparison grid.
 
@@ -453,28 +469,8 @@ def default_plan(
         repetitions=repetitions,
         data_seed=data_seed,
         run_seed=run_seed,
-        mt_iterations=mt_iterations if mt_iterations is not None else meta_updates,
+        mt_iterations=meta_updates,
     )
-
-
-def _generate(runs: dict, data_seed: int, n_subjects: int):
-    """Generate a repetition's data and write it, formatted once, into every run directory.
-
-    Returns the data and the StageError of each run label that did not get it.
-    """
-    try:
-        with stage("generate"):
-            data = generate_source(SourceConfig(seed=data_seed), n_subjects)
-            texts = format_split_dataset(data)
-    except StageError as e:
-        return None, dict.fromkeys(runs, e)
-    failed = {}
-    for label, run in runs.items():
-        try:
-            run.write_data(texts)
-        except StageError as e:
-            failed[label] = e
-    return data, failed
 
 
 def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
@@ -482,15 +478,11 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
 
     Repetition r uses data seed ``data_seed + r`` and run seed ``run_seed + r``
     for every variant, so comparisons across variants are paired.  The sweep
-    runs repetition by repetition: it generates and formats the repetition's
-    data once and writes it into each variant's run directory, meta-trains
-    the meta variants in lockstep (one ``meta_train`` call per ``stack_key``)
-    and pretrains the baselines, then fine-tunes every pretrained variant in
-    lockstep (one ``fine_tune`` call over all of them, which share the data
-    and the mini-batch order), and finally checkpoints and scores each one.
-    Every run directory is byte-identical to ``run_pipeline`` with the same
-    seeds.  A failing repetition is recorded in the cell's error list and
-    does not abort the sweep.
+    runs repetition by repetition, all of a repetition's variants together
+    (see ``_run_repetition``).  ``run_pipeline`` is the same repetition with
+    one run, so every run directory is byte-identical to ``run_pipeline``
+    with the same seeds.  A failing repetition is recorded in the cell's
+    error list and does not abort the sweep.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -500,37 +492,24 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     errors = {v.label: [] for v in live}
     for rep in range(plan.repetitions):
         data_seed, run_seed = plan.data_seed + rep, plan.run_seed + rep
-        runs = {
-            v.label: _Run(
+        runs = [
+            _Run(
                 v.meta if v.meta is not None else v.baseline,
                 out_dir / "runs" / v.label / f"rep{rep}",
                 data_seed,
                 run_seed,
             )
             for v in live
-        }
-        data, failed = _generate(runs, data_seed, plan.n_subjects)
-        written = [label for label in runs if label not in failed]
-        models = _pretrain(
-            [runs[label] for label in written], arch, data, plan.mt_iterations, plan.mt_rate
+        ]
+        source = SourceConfig(seed=data_seed)
+        outcomes = _run_repetition(
+            runs, source, plan.n_subjects, arch, plan.fine_tune, plan.mt_iterations, plan.mt_rate
         )
-        failed.update((label, m) for label, m in zip(written, models) if isinstance(m, StageError))
-        for label, e in failed.items():
-            errors[label].append(f"rep{rep}: {e}")
-        pretrained = {label: m for label, m in zip(written, models) if label not in failed}
-        if not pretrained:
-            continue
-        try:
-            tuned = fine_tune(
-                list(pretrained.values()), K5, data, plan.fine_tune, rng=derive_stream(run_seed, 1)
-            )
-        except Exception as e:  # a failure of the whole call is every variant's failure
-            tuned = [e] * len(pretrained)
-        for label, final in zip(pretrained, tuned):
-            try:
-                aucs[label].append(runs[label].finish(final, data)["test_auc"])
-            except StageError as e:
-                errors[label].append(f"rep{rep}: {e}")
+        for v, outcome in zip(live, outcomes):
+            if isinstance(outcome, StageError):
+                errors[v.label].append(f"rep{rep}: {outcome}")
+            else:
+                aucs[v.label].append(outcome["test_auc"])
 
     cells = []
     for variant in plan.variants:

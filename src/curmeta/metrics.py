@@ -25,7 +25,7 @@ def compute_auc(scores, labels):
     the B row AUCs; row b has the same bits as the call on row b alone.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError(
             f"scores and labels must have equal shapes, got {scores.shape} vs {labels.shape}"
@@ -34,6 +34,7 @@ def compute_auc(scores, labels):
         raise ValueError(f"scores must be (m,) or (B, m), got shape {scores.shape}")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
+    labels = labels.astype(np.int64, copy=False)
     rows_s, rows_y = (scores, labels) if scores.ndim == 2 else (scores[None], labels[None])
     n_pos = rows_y.sum(axis=1)
     n_neg = rows_y.shape[1] - n_pos

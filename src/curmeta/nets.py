@@ -100,7 +100,7 @@ class Batch:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if inputs.ndim not in (2, 3):
             raise ValueError(
                 f"inputs must be (n, d), or (B, n, d) with an episode axis, got shape {inputs.shape}"
@@ -114,7 +114,7 @@ class Batch:
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -8,8 +8,7 @@ own a fixed number of samples (default 2) sharing one subject_id, and the
 train/validation/test split is made at the subject level with no overlap.
 
 Each split is held as three arrays (``Samples``): features (n, d), classes
-(n,) and subject ids (n,).  ``SourceSample`` is the row view of a split, and
-every function that takes samples also takes a sequence of such rows.
+(n,) and subject ids (n,).
 
 Datasets serialize to a tab-separated text format, one sample per row:
 
@@ -22,7 +21,6 @@ round-trip is bit-exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,25 +79,6 @@ TASKS = (K1, K2, K3, K4, K5)
 TASK_BY_ID = {t.id: t for t in TASKS}
 
 
-@dataclass(frozen=True)
-class SourceSample:
-    """One row of a split: a feature vector, its source class and its subject."""
-
-    features: np.ndarray
-    source_class: int
-    subject_id: int
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 1:
-            raise ValueError(f"features must be a 1-D vector, got shape {features.shape}")
-        if self.source_class not in (0, 1, 2):
-            raise ValueError(f"class must be 0, 1 or 2, got {self.source_class}")
-        if self.subject_id < 0:
-            raise ValueError(f"subject_id must be >= 0, got {self.subject_id}")
-        object.__setattr__(self, "features", features)
-
-
 def _integer_array(values, name: str) -> np.ndarray:
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
@@ -111,11 +90,9 @@ def _integer_array(values, name: str) -> np.ndarray:
 class Samples:
     """A split as arrays: features (n, d) float64, classes (n,) and subjects (n,) int64.
 
-    Reads as a sequence of ``SourceSample`` rows: ``len``, iteration,
-    ``samples[i]`` (a row), ``samples[:k]`` (a ``Samples``) and ``+``
-    (concatenation).  Build one from rows with ``Samples.from_rows``.  The
-    arrays are read-only copies, so the per-task views that ``sample_episode``
-    caches on the instance never go stale.
+    ``len`` counts samples and a slice is a ``Samples``.  The arrays are
+    read-only copies, so the per-task views that ``sample_episode`` caches on
+    the instance never go stale.
     """
 
     features: np.ndarray
@@ -166,44 +143,13 @@ class Samples:
             )
         return self._views[task]
 
-    @classmethod
-    def from_rows(cls, rows) -> "Samples":
-        """The arrays of a sequence of ``SourceSample`` rows."""
-        rows = list(rows)
-        if not rows:
-            return cls(np.zeros((0, 0)), np.zeros(0, np.int64), np.zeros(0, np.int64))
-        if len({s.features.shape for s in rows}) > 1:
-            raise ValueError("all samples must share one feature dimension")
-        return cls(
-            np.stack([s.features for s in rows]),
-            [s.source_class for s in rows],
-            [s.subject_id for s in rows],
-        )
-
     def __len__(self) -> int:
         return len(self.classes)
 
-    def __getitem__(self, key):
-        if isinstance(key, numbers.Integral):
-            return SourceSample(self.features[key], int(self.classes[key]), int(self.subjects[key]))
+    def __getitem__(self, key: slice) -> "Samples":
+        if not isinstance(key, slice):
+            raise TypeError(f"Samples take a slice, got {type(key).__name__}")
         return Samples(self.features[key], self.classes[key], self.subjects[key])
-
-    def __iter__(self):
-        for row, cls, subject in zip(self.features, self.classes.tolist(), self.subjects.tolist()):
-            yield SourceSample(row, cls, subject)
-
-    def __add__(self, other) -> "Samples":
-        other = _as_samples(other)
-        return Samples(
-            np.concatenate([self.features, other.features]),
-            np.concatenate([self.classes, other.classes]),
-            np.concatenate([self.subjects, other.subjects]),
-        )
-
-
-def _as_samples(samples) -> Samples:
-    """``samples`` itself if it is a ``Samples``, else its ``SourceSample`` rows as one."""
-    return samples if isinstance(samples, Samples) else Samples.from_rows(samples)
 
 
 def default_means(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,9 +214,15 @@ class SplitDataset:
     test: Samples
 
     def __post_init__(self):
-        splits = [_as_samples(getattr(self, name)) for name in ("train", "validation", "test")]
-        for name, split in zip(("train", "validation", "test"), splits):
-            object.__setattr__(self, name, split)
+        names = ("train", "validation", "test")
+        splits = [getattr(self, name) for name in names]
+        for name, split in zip(names, splits):
+            if not isinstance(split, Samples):
+                raise TypeError(f"the {name} split must be Samples, got {type(split).__name__}")
+        widths = [split.features.shape[1] for split in splits]
+        for name, width in zip(names[1:], widths[1:]):
+            if width != widths[0]:
+                raise ValueError(f"the {name} split has {width} features, the train split has {widths[0]}")
         for i in range(3):
             for j in range(i + 1, 3):
                 mine = splits[i].subjects
@@ -330,12 +282,11 @@ def generate_source(
     return SplitDataset(*splits)
 
 
-def map_labels(task: TaskDefinition, samples) -> Batch:
+def map_labels(task: TaskDefinition, samples: Samples) -> Batch:
     """Binary batch for a task: drop excluded classes, label positives 1.
 
     Sample order is preserved.
     """
-    samples = _as_samples(samples)
     kept = task._included[samples.classes]
     if not kept.any():
         raise ValueError(f"no samples left after mapping task {task.id}")
@@ -362,7 +313,7 @@ class Episode:
 
 def sample_episode(
     task: TaskDefinition,
-    pool,
+    pool: Samples,
     n_tr: int,
     n_val: int,
     rng: np.random.Generator,
@@ -377,7 +328,7 @@ def sample_episode(
     if n_tr < 2 or n_val < 2:
         raise ValueError("n_tr and n_val must be >= 2 so both labels can be present")
     # work in positions 0..n-1 of the eligible samples, in pool order
-    features, positive, labels, subjects, rank, pos, neg = _as_samples(pool)._task_view(task)
+    features, positive, labels, subjects, rank, pos, neg = pool._task_view(task)
     n = len(positive)
     if n < n_tr + n_val or len(pos) == 0 or len(neg) == 0:
         raise PoolExhaustedError(
@@ -422,21 +373,20 @@ def sample_episode(
     )
 
 
-def derive_stream(seed: int, worker: int, stride: int = 1000) -> np.random.Generator:
-    """Independent RNG stream for a worker: master seed plus a fixed stride."""
-    return np.random.default_rng(seed + stride * worker)
+def derive_stream(seed: int, worker: int) -> np.random.Generator:
+    """Independent RNG stream for a worker: master seed plus 1000 per worker."""
+    return np.random.default_rng(seed + 1000 * worker)
 
 
 # --- tabular text serialization -------------------------------------------------
 
-def write_samples(path, samples) -> None:
+def write_samples(path, samples: Samples) -> None:
     """Write samples as TSV: subject_id, class, then one column per feature."""
     Path(path).write_text(format_samples(samples))
 
 
-def format_samples(samples) -> str:
+def format_samples(samples: Samples) -> str:
     """The TSV text ``write_samples`` writes."""
-    samples = _as_samples(samples)
     header = "subject_id\tclass" + "".join(f"\tf{i}" for i in range(samples.features.shape[1]))
     lines = [header]
     for subject, cls, row in zip(
@@ -497,15 +447,10 @@ def format_split_dataset(data: SplitDataset) -> dict[str, str]:
     return {name: format_samples(getattr(data, name)) for name in SPLIT_FILES}
 
 
-def write_split_dataset(directory, data) -> dict[str, Path]:
-    """Write each split's TSV into ``directory``.
-
-    ``data`` is a SplitDataset, or its ``format_split_dataset`` texts when the
-    same data goes into many directories.
-    """
+def write_split_dataset(directory, texts: dict[str, str]) -> dict[str, Path]:
+    """Write each split's TSV, as ``format_split_dataset`` gives it, into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    texts = data if isinstance(data, dict) else format_split_dataset(data)
     paths = {}
     for name, filename in SPLIT_FILES.items():
         p = directory / filename

@@ -6,6 +6,8 @@ sample object at a time) so the fast library paths have something external
 to agree with.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 
@@ -79,6 +81,19 @@ def reference_auc(scores, labels) -> float:
     tp_prev = tp - tp_g
     area = float(np.sum(fp_g * (tp_prev + tp)) / 2.0)
     return area / (n_pos * n_neg)
+
+
+SourceSample = namedtuple("SourceSample", "features source_class subject_id")
+
+
+def source_rows(samples):
+    """A split's samples as a list of ``SourceSample`` rows, one Python object per sample."""
+    return [
+        SourceSample(features, cls, subject)
+        for features, cls, subject in zip(
+            samples.features, samples.classes.tolist(), samples.subjects.tolist()
+        )
+    ]
 
 
 def reference_sample_episode(task, pool, n_tr, n_val, rng, max_attempts=200):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -296,6 +298,19 @@ def test_meta_train_bad_cell_fails_naming_file_line_and_column(tmp_path, data_di
     assert err.startswith(f"[meta-train] {data / 'train.tsv'}:3: f1 must be a finite number, got 'nan'")
 
 
+def test_meta_train_rejects_splits_of_unequal_width(tmp_path, data_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    wide = tmp_path / "wide"
+    assert main(["generate", "--out", str(wide), "--data-seed", "2", "--n-subjects", "30", "--dim", "8"]) == 0
+    shutil.copy(wide / "test.tsv", data / "test.tsv")
+    capsys.readouterr()
+    rc = main(["meta-train", "--out", str(tmp_path / "out"), "--data", str(data)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "[meta-train] the test split has 8 features, the train split has 4\n"
+
+
 # ------------------------------------------------------------------- curves
 
 
@@ -363,6 +378,28 @@ def test_sweep_records_subjects_and_fine_tune_epochs_in_the_plan(tmp_path, capsy
     run_dir = tmp_path / "runs" / "bsml-k3-random" / "rep0"
     # 30 subjects: 12 train subjects with 2 samples each
     assert len((run_dir / "data" / "train.tsv").read_text().splitlines()) == 1 + 24
+
+
+# ------------------------------------------------------------------ README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every `curmeta ...` line of the README's code blocks, shell variables filled in."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [re.sub(r"\$\w+", "cl", line) for line in lines if line.startswith("curmeta ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0], line
 
 
 # -------------------------------------------------------------- entry point

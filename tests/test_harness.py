@@ -124,6 +124,15 @@ def test_pipeline_wraps_training_failure(tmp_path):
     assert exc.value.stage == "meta-train"
 
 
+def test_pipeline_wraps_non_finite_fine_tune(tmp_path):
+    diverging = FineTuneConfig(epochs=2, learning_rate=1e300)
+    with pytest.raises(StageError) as exc, np.errstate(over="ignore", invalid="ignore"):
+        quick_pipeline("plain", tmp_path, ft=diverging)
+    assert exc.value.stage == "fine-tune"
+    assert str(exc.value) == "[fine-tune] non-finite parameters during fine-tuning"
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 # --------------------------------------------------------------- manifests
 
 
@@ -399,6 +408,25 @@ def test_run_sweep_records_generate_failures_for_every_variant(tmp_path):
         assert cell.n == 0 and len(cell.errors) == 2
         assert all(e.startswith(f"rep{r}: [generate]") for r, e in enumerate(cell.errors))
     assert not any((tmp_path / "runs").rglob("*.tsv"))
+
+
+def test_run_sweep_of_only_na_variants_writes_tables_and_runs_nothing(tmp_path, monkeypatch):
+    from curmeta import harness
+
+    generated = []
+    monkeypatch.setattr(harness, "generate_source", lambda *args: generated.append(args))
+    variants = (
+        Variant("skipped", CellKey("BSML", 3, "alltask"), na=True),
+        Variant("also-skipped", CellKey("BSML", 2, "alltask"), na=True),
+    )
+    table = run_sweep(ExperimentPlan(variants, repetitions=2), tmp_path)
+    assert [c.na for _, c in table.cells] == [True, True]
+    assert ResultTable.parse((tmp_path / "results.json").read_text()) == table
+    assert (tmp_path / "results.txt").read_text().count("N/A") == 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["results.json", "results.txt"]
+    assert not (tmp_path / "runs").exists()
+    assert generated == []
 
 
 # -------------------------------------------------------------------- curves

@@ -66,6 +66,10 @@ def test_auc_rejects_bad_inputs():
         compute_auc([0.1, 0.9], [0, 1, 1])
     with pytest.raises(ValueError):
         compute_auc([0.1, 0.9], [0, 2])
+    # fractional labels are checked before the integer cast, not truncated to 0 and 1
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        compute_auc([0.1, 0.9, 0.5], [0.2, 1.5, 0.0])
+    assert compute_auc([0.1, 0.9], [False, True]) == compute_auc([0.1, 0.9], [0.0, 1.0]) == 1.0
 
 
 # ----------------------------------------------------- agreement with pairs

@@ -115,6 +115,11 @@ def test_batch_validates_shapes():
 def test_batch_rejects_nonbinary_labels():
     with pytest.raises(ValueError):
         Batch(np.zeros((2, 3)), np.array([0, 2]))
+    # fractional labels are checked before the integer cast, not truncated to 0 and 1
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Batch(np.zeros((2, 2)), [0.7, 1.9])
+    for labels in ([False, True], [0.0, 1.0]):
+        assert Batch(np.zeros((2, 2)), labels).labels.tolist() == [0, 1]
 
 
 def test_batch_len():

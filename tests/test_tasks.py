@@ -20,11 +20,11 @@ from curmeta.tasks import (
     PoolExhaustedError,
     Samples,
     SourceConfig,
-    SourceSample,
     SplitDataset,
     TaskDefinition,
     default_means,
     derive_stream,
+    format_split_dataset,
     generate_source,
     map_labels,
     read_samples,
@@ -34,7 +34,7 @@ from curmeta.tasks import (
     write_samples,
     write_split_dataset,
 )
-from oracles import reference_sample_episode
+from oracles import reference_sample_episode, source_rows
 
 
 @pytest.fixture(scope="module")
@@ -144,35 +144,34 @@ def test_split_subject_counts_partition(n):
 
 def test_generate_source_structure(small_data):
     counts = split_subject_counts(30)
-    for split, count in zip((small_data.train, small_data.validation, small_data.test), counts):
+    splits = (small_data.train, small_data.validation, small_data.test)
+    for split, count in zip(splits, counts):
         assert len(split) == 2 * count
-        subjects = set(s.subject_id for s in split)
-        assert len(subjects) == count
-        for s in split:
-            assert s.features.shape == (4,)
-            assert s.source_class in (0, 1, 2)
-    all_ids = [s.subject_id for split in (small_data.train, small_data.validation, small_data.test) for s in split]
-    assert sorted(set(all_ids)) == list(range(30))
+        assert len(set(split.subjects.tolist())) == count
+        assert split.features.shape == (2 * count, 4)
+        assert set(split.classes.tolist()) <= {0, 1, 2}
+    all_ids = np.concatenate([split.subjects for split in splits])
+    assert sorted(set(all_ids.tolist())) == list(range(30))
 
 
 def test_generate_source_deterministic():
     a = generate_source(SourceConfig(dim=3, seed=9), n_subjects=12)
     b = generate_source(SourceConfig(dim=3, seed=9), n_subjects=12)
-    for sa, sb in zip(a.train + a.validation + a.test, b.train + b.validation + b.test):
-        assert np.array_equal(sa.features, sb.features)
-        assert sa.source_class == sb.source_class and sa.subject_id == sb.subject_id
+    for name in ("train", "validation", "test"):
+        for field in ("features", "classes", "subjects"):
+            assert np.array_equal(getattr(getattr(a, name), field), getattr(getattr(b, name), field))
     c = generate_source(SourceConfig(dim=3, seed=10), n_subjects=12)
-    assert not all(
-        np.array_equal(sa.features, sc.features) for sa, sc in zip(a.train, c.train)
-    )
+    assert not (a.train.features == c.train.features).all(axis=1).any()
 
 
 def test_generate_source_class_means_recoverable():
     cfg = SourceConfig(dim=6, seed=0)
     data = generate_source(cfg, n_subjects=400)
-    samples = data.train + data.validation + data.test
+    splits = (data.train, data.validation, data.test)
+    features = np.concatenate([split.features for split in splits])
+    classes = np.concatenate([split.classes for split in splits])
     for cls, mu in enumerate(cfg.means):
-        feats = np.stack([s.features for s in samples if s.source_class == cls])
+        feats = features[classes == cls]
         # n ~ 270 per class, so the sample mean sits within ~4 sigma/sqrt(n)
         assert np.linalg.norm(feats.mean(axis=0) - mu) < 0.6
 
@@ -184,19 +183,24 @@ def test_generate_source_samples_per_subject():
         generate_source(SourceConfig(dim=3, seed=1), n_subjects=9, samples_per_subject=0)
 
 
+def subjects(*ids):
+    """Samples of class 0 with two zero features, one per subject id."""
+    return Samples(np.zeros((len(ids), 2)), [0] * len(ids), ids)
+
+
 def test_split_dataset_rejects_shared_subjects():
-    s = lambda subject: SourceSample(np.zeros(2), 0, subject)
     with pytest.raises(ValueError):
-        SplitDataset((s(0), s(1)), (s(1),), (s(2),))
+        SplitDataset(subjects(0, 1), subjects(1), subjects(2))
 
 
-def test_source_sample_validation():
-    with pytest.raises(ValueError):
-        SourceSample(np.zeros((2, 2)), 0, 0)
-    with pytest.raises(ValueError):
-        SourceSample(np.zeros(2), 3, 0)
-    with pytest.raises(ValueError):
-        SourceSample(np.zeros(2), 0, -1)
+@pytest.mark.parametrize("name", ["train", "validation", "test"])
+def test_split_dataset_takes_only_samples_naming_the_split(name):
+    splits = {"train": subjects(0), "validation": subjects(1), "test": subjects(2)}
+    splits[name] = source_rows(splits[name])
+    with pytest.raises(TypeError, match=f"the {name} split must be Samples, got list"):
+        SplitDataset(**splits)
+
+
 
 
 @pytest.mark.parametrize(
@@ -218,24 +222,19 @@ def test_samples_rejects_bad_arrays(features, classes, subjects, match):
         Samples(features, classes, subjects)
 
 
-def test_samples_read_as_source_sample_rows(small_data):
+def test_samples_have_a_length_and_slices(small_data):
     train = small_data.train
     assert train.features.shape == (len(train), 4)
     assert train.classes.dtype == train.subjects.dtype == np.int64
-    rows = list(train)
-    assert all(isinstance(r, SourceSample) for r in rows)
-    assert np.array_equal(train[3].features, train.features[3])
-    assert (train[-1].source_class, train[-1].subject_id) == (rows[-1].source_class, rows[-1].subject_id)
     head = train[:5]
     assert isinstance(head, Samples) and len(head) == 5
-    assert np.array_equal(head.features, train.features[:5])
-    both = head + rows[5:7]
-    assert len(both) == 7 and np.array_equal(both.subjects, train.subjects[:7])
-    again = Samples.from_rows(rows)
     for name in ("features", "classes", "subjects"):
-        assert np.array_equal(getattr(again, name), getattr(train, name))
-    with pytest.raises(ValueError, match="share one feature dimension"):
-        Samples.from_rows([SourceSample(np.zeros(2), 0, 0), SourceSample(np.zeros(3), 0, 1)])
+        assert np.array_equal(getattr(head, name), getattr(train, name)[:5])
+    # a split is arrays, not rows: no integer index, so no iteration either
+    with pytest.raises(TypeError, match="Samples take a slice, got int"):
+        train[3]
+    with pytest.raises(TypeError):
+        list(train)
 
 
 # --------------------------------------------------------------- map_labels
@@ -244,7 +243,7 @@ def test_samples_read_as_source_sample_rows(small_data):
 def test_map_labels_matches_loop_oracle(small_data):
     for task in TASKS:
         batch = map_labels(task, small_data.train)
-        kept = [s for s in small_data.train if s.source_class in task.included_classes]
+        kept = [s for s in source_rows(small_data.train) if s.source_class in task.included_classes]
         assert len(batch) == len(kept)
         for row, sample in zip(range(len(kept)), kept):
             assert np.array_equal(batch.inputs[row], sample.features)
@@ -253,12 +252,12 @@ def test_map_labels_matches_loop_oracle(small_data):
 
 def test_map_labels_excludes_classes(small_data):
     batch = map_labels(K2, small_data.train)  # K2 keeps only classes 0 and 2
-    n_kept = sum(1 for s in small_data.train if s.source_class != 1)
+    n_kept = np.count_nonzero(small_data.train.classes != 1)
     assert len(batch) == n_kept
 
 
 def test_map_labels_empty_raises():
-    samples = [SourceSample(np.zeros(2), 1, 0)]
+    samples = Samples(np.zeros((1, 2)), [1], [0])
     with pytest.raises(ValueError):
         map_labels(K2, samples)  # class 1 is excluded from K2
 
@@ -287,7 +286,7 @@ def test_sample_episode_deterministic(small_data):
 
 def test_sample_episode_respects_task_classes(small_data):
     # every drawn feature vector must come from an included class
-    by_feature = {s.features.tobytes(): s.source_class for s in small_data.train}
+    by_feature = {s.features.tobytes(): s.source_class for s in source_rows(small_data.train)}
     rng = np.random.default_rng(5)
     for _ in range(20):
         ep = sample_episode(K4, small_data.train, 4, 4, rng)
@@ -305,13 +304,11 @@ def test_sample_episode_rejects_tiny_sizes(small_data):
 
 def test_sample_episode_pool_exhausted():
     rng = np.random.default_rng(0)
-    pool = [
-        SourceSample(np.zeros(2) + i, i % 2, i) for i in range(4)
-    ]  # only 4 samples, need 8
-    with pytest.raises(PoolExhaustedError):
+    pool = Samples(np.arange(4.0)[:, None] + np.zeros(2), np.arange(4) % 2, np.arange(4))
+    with pytest.raises(PoolExhaustedError):  # only 4 samples, need 8
         sample_episode(K3, pool, 4, 4, rng)
     # enough samples but one subject everywhere: disjointness is impossible
-    pool = [SourceSample(np.zeros(2) + i, i % 2, 0) for i in range(20)]
+    pool = Samples(np.arange(20.0)[:, None] + np.zeros(2), np.arange(20) % 2, np.zeros(20, int))
     with pytest.raises(PoolExhaustedError):
         sample_episode(K3, pool, 4, 4, rng)
 
@@ -335,7 +332,7 @@ EXHAUSTION = {(0, 1): {"size"}, (0, 2): {"attempts"}, (1, 1): {"size", "attempts
 def test_sample_episode_equals_object_list_reference(data_seed, samples_per_subject):
     # a small source, so draws retry and the pool runs out as well
     data = generate_source(SourceConfig(dim=3, seed=data_seed), 24, samples_per_subject)
-    rows = list(data.train)
+    rows = source_rows(data.train)
     rng, ref_rng = np.random.default_rng(data_seed), np.random.default_rng(data_seed)
     outcomes = set()
     for i in range(2000):
@@ -392,7 +389,7 @@ def test_task_views_are_cached_per_task_value():
     for task in (K5, K1):
         sample_episode(task, data.train, 4, 4, np.random.default_rng(0))
     custom = TaskDefinition("K1", {0, 1}, {1})
-    rows = list(data.train)
+    rows = source_rows(data.train)
     rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
     for _ in range(200):
         ep = sample_episode(custom, data.train, 4, 4, rng)
@@ -433,14 +430,13 @@ def test_samples_tsv_round_trip(tmp_path, small_data):
     write_samples(path, small_data.train)
     back = read_samples(path)
     assert len(back) == len(small_data.train)
-    for orig, rt in zip(small_data.train, back):
-        assert np.array_equal(orig.features, rt.features)  # bit-exact via %.17g
-        assert orig.source_class == rt.source_class
-        assert orig.subject_id == rt.subject_id
+    assert np.array_equal(back.features, small_data.train.features)  # bit-exact via %.17g
+    assert np.array_equal(back.classes, small_data.train.classes)
+    assert np.array_equal(back.subjects, small_data.train.subjects)
 
 
 def test_split_dataset_round_trip(tmp_path, small_data):
-    paths = write_split_dataset(tmp_path, small_data)
+    paths = write_split_dataset(tmp_path, format_split_dataset(small_data))
     assert set(paths) == {"train", "validation", "test"}
     assert all(p.exists() for p in paths.values())
     back = read_split_dataset(tmp_path)
@@ -449,9 +445,8 @@ def test_split_dataset_round_trip(tmp_path, small_data):
         (back.train, back.validation, back.test),
     ):
         assert len(orig_split) == len(rt_split)
-        for orig, rt in zip(orig_split, rt_split):
-            assert np.array_equal(orig.features, rt.features)
-            assert orig.subject_id == rt.subject_id
+        assert np.array_equal(orig_split.features, rt_split.features)
+        assert np.array_equal(orig_split.subjects, rt_split.subjects)
 
 
 @pytest.mark.parametrize("edit", ["drop_feature", "extra_field"])
@@ -468,9 +463,18 @@ def test_read_samples_rejects_row_of_wrong_width(tmp_path, small_data, edit):
         read_samples(path)
 
 
+@pytest.mark.parametrize("name", ["validation", "test"])
+def test_read_split_dataset_rejects_splits_of_unequal_width(tmp_path, name):
+    write_split_dataset(tmp_path, format_split_dataset(generate_source(SourceConfig(dim=16), 30)))
+    narrow = generate_source(SourceConfig(dim=8), 30)
+    write_samples(tmp_path / f"{name}.tsv", getattr(narrow, name))
+    with pytest.raises(ValueError, match=f"the {name} split has 8 features, the train split has 16"):
+        read_split_dataset(tmp_path)
+
+
 def test_read_split_dataset_rejects_empty_train_split(tmp_path, small_data):
-    write_split_dataset(tmp_path, small_data)
-    write_samples(tmp_path / "train.tsv", [])
+    write_split_dataset(tmp_path, format_split_dataset(small_data))
+    write_samples(tmp_path / "train.tsv", small_data.train[:0])
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'train.tsv'}: ")):
         read_split_dataset(tmp_path)
 
@@ -504,7 +508,7 @@ def test_samples_tsv_bytes_are_unchanged_by_a_round_trip(tmp_path, small_data):
     write_samples(b, read_samples(a))
     assert a.read_bytes() == b.read_bytes()
     rows = a.read_text().splitlines()
-    first = small_data.train[0]
+    train = small_data.train
     assert rows[1] == "\t".join(
-        [str(first.subject_id), str(first.source_class)] + [f"{x:.17g}" for x in first.features]
+        [str(train.subjects[0]), str(train.classes[0])] + [f"{x:.17g}" for x in train.features[0]]
     )
