@@ -16,6 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_HIDDEN,
+    ExperimentPlan,
     StageError,
     default_architecture,
     default_plan,
@@ -30,15 +32,16 @@ from .meta import (
     RunLog,
     config_to_dict,
     fine_tune,
+    format_checkpoint,
     infer,
     load_checkpoint,
     meta_train,
-    save_checkpoint,
 )
 from .metrics import compute_auc
 from .samplers import SamplerKind
 from .tasks import (
     K5,
+    SPLIT_FILES,
     SourceConfig,
     TASK_BY_ID,
     derive_stream,
@@ -46,7 +49,6 @@ from .tasks import (
     generate_source,
     map_labels,
     read_split_dataset,
-    write_split_dataset,
 )
 
 def _add_meta_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,7 +94,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--data", type=Path, help="directory of existing split TSVs")
     group.add_argument("--data-seed", type=int, help="synthesize data with this seed")
-    parser.add_argument("--n-subjects", type=int, default=117)
+    parser.add_argument("--n-subjects", type=int, default=ExperimentPlan.n_subjects)
 
 
 def load_data(args):
@@ -105,14 +107,14 @@ def load_data(args):
 def cmd_generate(args) -> int:
     seed = args.data_seed if args.data_seed is not None else 0
     data = generate_source(SourceConfig(seed=seed, dim=args.dim), args.n_subjects)
-    paths = write_split_dataset(args.out, format_split_dataset(data))
+    texts = format_split_dataset(data)
     write_manifest(
         args.out,
-        paths.values(),
+        {SPLIT_FILES[name]: text for name, text in texts.items()},
         config={"dim": args.dim, "n_subjects": args.n_subjects},
         seeds={"data_seed": seed},
     )
-    print(f"wrote {len(paths)} splits to {args.out}")
+    print(f"wrote {len(texts)} splits to {args.out}")
     return 0
 
 
@@ -121,19 +123,13 @@ def cmd_meta_train(args) -> int:
     data = load_data(args)
     arch = default_architecture(data.train.features.shape[1], args.hidden)
     model, log = meta_train(arch, config, data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "checkpoint.json"
-    save_checkpoint(ckpt, model)
-    log_path = out / "run_log.tsv"
-    log_path.write_text(log.to_tsv())
     write_manifest(
-        out,
-        [ckpt, log_path],
+        args.out,
+        {"checkpoint.json": format_checkpoint(model), "run_log.tsv": log.to_tsv()},
         config=config_to_dict(config),
         seeds={"seed": config.seed, "data_seed": args.data_seed},
     )
-    print(f"meta-trained {config.meta_updates} updates, checkpoint at {ckpt}")
+    print(f"meta-trained {config.meta_updates} updates, checkpoint at {args.out / 'checkpoint.json'}")
     return 0
 
 
@@ -146,17 +142,13 @@ def cmd_fine_tune(args) -> int:
     )
     seed = args.seed if args.seed is not None else 0
     tuned = fine_tune(model, task, data, ft, rng=derive_stream(seed, 1))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "checkpoint.json"
-    save_checkpoint(ckpt, tuned)
     write_manifest(
-        out,
-        [ckpt],
+        args.out,
+        {"checkpoint.json": format_checkpoint(tuned)},
         config={"task": args.task, "fine_tune": config_to_dict(ft)},
         seeds={"seed": seed, "data_seed": args.data_seed},
     )
-    print(f"fine-tuned on {args.task}, checkpoint at {ckpt}")
+    print(f"fine-tuned on {args.task}, checkpoint at {args.out / 'checkpoint.json'}")
     return 0
 
 
@@ -166,16 +158,10 @@ def cmd_evaluate(args) -> int:
     task = TASK_BY_ID[args.task]
     batch = map_labels(task, getattr(data, args.split))
     auc = compute_auc(infer(model, batch.inputs), batch.labels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = out / "result.json"
-    result.write_text(
-        json.dumps({"task": args.task, "split": args.split, "auc": auc}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    result = {"task": args.task, "split": args.split, "auc": auc}
     write_manifest(
-        out,
-        [result],
+        args.out,
+        {"result.json": json.dumps(result, indent=2, sort_keys=True) + "\n"},
         config={"task": args.task, "split": args.split},
         seeds={"data_seed": args.data_seed},
     )
@@ -198,8 +184,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_curves(args) -> int:
     log = RunLog.from_tsv(Path(args.log).read_text())
-    paths = emit_curves(log, args.out, window=args.window)
-    write_manifest(args.out, paths.values(), config={"window": args.window})
+    write_manifest(args.out, emit_curves(log, args.window), config={"window": args.window})
     print(f"wrote curves for {len(log.records)} meta-updates to {args.out}")
     return 0
 
@@ -214,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize the subject-split source data")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--data-seed", type=int)
-    p.add_argument("--n-subjects", type=int, default=117)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--n-subjects", type=int, default=ExperimentPlan.n_subjects)
+    p.add_argument("--dim", type=int, default=SourceConfig.dim)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("meta-train", help="train an initialization across the task pool")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--hidden", type=int, default=24)
+    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
     _add_meta_flags(p)
     _add_data_flags(p)
     p.set_defaults(func=cmd_meta_train)
@@ -229,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--task", choices=sorted(TASK_BY_ID), default=K5.id)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--learning-rate", type=float, default=FineTuneConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=FineTuneConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=FineTuneConfig.epochs)
     p.add_argument("--seed", type=int)
     _add_data_flags(p)
     p.set_defaults(func=cmd_fine_tune)
@@ -246,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full sampler/baseline comparison grid")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--meta-updates", type=int, default=3000)
-    p.add_argument("--repetitions", type=int, default=10)
+    p.add_argument("--meta-updates", type=int, default=MetaConfig.meta_updates)
+    p.add_argument("--repetitions", type=int, default=ExperimentPlan.repetitions)
     p.add_argument("--data-seed", type=int)
     p.add_argument("--run-seed", type=int, default=0)
-    p.add_argument("--n-subjects", type=int, default=117)
-    p.add_argument("--ft-epochs", type=int, default=200, help="fine-tune epochs per run")
+    p.add_argument("--n-subjects", type=int, default=ExperimentPlan.n_subjects)
+    p.add_argument("--ft-epochs", type=int, default=FineTuneConfig.epochs, help="fine-tune epochs per run")
     p.add_argument("--no-baselines", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

@@ -3,10 +3,10 @@
 A pipeline run is generate -> pretrain -> fine-tune -> evaluate: synthesize
 the subject-split source data, optionally pretrain an initialization (via
 meta-training or the joint multi-task baseline), fine-tune on the target
-task, and score the fine-tuned model on the held-out test split.  Every run
-directory gets a manifest listing the relative path and sha256 of each
-artifact, with no timestamps, so identical inputs produce byte-identical
-output trees.
+task, and score the fine-tuned model on the held-out test split.  A run
+directory is written once, by ``write_manifest``, when its run completes: its
+artifacts plus a manifest listing the relative path and sha256 of each, with
+no timestamps, so identical inputs produce byte-identical output trees.
 
 A sweep runs a plan of variants over paired repetition seeds (repetition r
 uses the same data and run seed for every variant) and aggregates test AUC
@@ -34,24 +34,25 @@ from .meta import (
     TrainedModel,
     config_to_dict,
     fine_tune,
+    format_checkpoint,
     infer,
     initial_params,
     meta_train,
     multitask_train,
-    save_checkpoint,
     stack_key,
 )
 from .nets import Architecture
 from .samplers import SamplerKind
 from .tasks import (
     K5,
+    SPLIT_FILES,
     SourceConfig,
     TASKS,
+    check_types,
     derive_stream,
     format_split_dataset,
     generate_source,
     map_labels,
-    write_split_dataset,
 )
 
 
@@ -71,18 +72,19 @@ def default_architecture(dim: int, hidden: int = DEFAULT_HIDDEN) -> Architecture
     return Architecture((dim, hidden, 2), "relu")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_manifest(out_dir, paths, config: dict | None = None, seeds: dict | None = None) -> Path:
-    """Record config, seeds, and the path/content hash of every run artifact."""
+def write_manifest(out_dir, files: dict[str, str], config: dict | None = None, seeds: dict | None = None) -> Path:
+    """Write an artifact directory: each text of ``files`` (keyed by relative
+    path), then manifest.json with the config, seeds and sha256 of every text."""
     out_dir = Path(out_dir)
-    files = {str(Path(p).relative_to(out_dir).as_posix()): _sha256(Path(p)) for p in paths}
-    doc = {"config": config or {}, "seeds": seeds or {}, "files": files}
-    manifest = out_dir / "manifest.json"
-    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return manifest
+    data = {rel: text.encode() for rel, text in files.items()}
+    hashes = {rel: hashlib.sha256(b).hexdigest() for rel, b in data.items()}
+    doc = {"config": config or {}, "seeds": seeds or {}, "files": hashes}
+    data["manifest.json"] = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    for rel, b in data.items():
+        path = out_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b)
+    return out_dir / "manifest.json"
 
 
 @contextmanager
@@ -97,15 +99,14 @@ def stage(name: str):
 
 
 class _Run:
-    """One run directory of a repetition: its recipe, seeds and the artifacts written so far."""
+    """One run of a repetition: its recipe, seeds and the texts of its artifacts so far."""
 
     def __init__(self, recipe, out_dir, data_seed: int, run_seed: int):
         self.recipe = recipe
-        self.out_dir = Path(out_dir)
+        self.out_dir = out_dir
         self.data_seed = data_seed
         self.run_seed = run_seed
-        self.written: list[Path] = []
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.files: dict[str, str] = {}
 
     def pretrain(self, arch, data, mt_iterations: int, mt_rate: float, trained) -> TrainedModel:
         """The pretrained model; a meta run gets ``trained``, its entry of a ``meta_train`` call."""
@@ -114,9 +115,7 @@ class _Run:
                 if isinstance(trained, Exception):
                     raise trained
                 model, log = trained
-                log_path = self.out_dir / "run_log.tsv"
-                log_path.write_text(log.to_tsv())
-                self.written.append(log_path)
+                self.files["run_log.tsv"] = log.to_tsv()
             elif self.recipe == "plain":
                 params = initial_params(arch, self.run_seed)
                 model = TrainedModel(arch, params, Provenance({"baseline": "plain"}, self.run_seed))
@@ -132,13 +131,12 @@ class _Run:
         return model
 
     def finish(self, final, data) -> dict:
-        """Checkpoint and score the fine-tuned model (or re-raise its fine-tune failure)."""
+        """Checkpoint and score the fine-tuned model and write the run directory
+        (or re-raise its fine-tune failure, writing nothing)."""
         with stage("fine-tune"):
             if isinstance(final, Exception):
                 raise final
-            ckpt_path = self.out_dir / "checkpoint.json"
-            save_checkpoint(ckpt_path, final)
-            self.written.append(ckpt_path)
+            self.files["checkpoint.json"] = format_checkpoint(final)
         with stage("evaluate"):
             test = map_labels(K5, data.test)
             test_auc = compute_auc(infer(final, test.inputs), test.labels)
@@ -152,12 +150,10 @@ class _Run:
             "test_auc": test_auc,
             "config": config_to_dict(self.recipe) if meta else {},
         }
-        result_path = self.out_dir / "result.json"
-        result_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        self.written.append(result_path)
+        self.files["result.json"] = json.dumps(result, indent=2, sort_keys=True) + "\n"
         write_manifest(
             self.out_dir,
-            self.written,
+            self.files,
             config=result["config"] if result["config"] else {"pretrain": kind},
             seeds={"data_seed": self.data_seed, "run_seed": self.run_seed},
         )
@@ -167,12 +163,12 @@ class _Run:
 def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) -> list:
     """Take runs that share data and a run seed through every stage.
 
-    Generates the data and formats its TSVs once, writes them into each run
-    directory, meta-trains the meta runs in lockstep (one ``meta_train`` call
-    per ``stack_key``) and pretrains the baselines, fine-tunes every
-    pretrained run in lockstep (one ``fine_tune`` call: the runs share the
-    data and the mini-batch order), then checkpoints and scores each one.
-    Returns each run's result record or the StageError that stopped it.
+    Generates the data and formats its TSVs once for every run, meta-trains
+    the meta runs in lockstep (one ``meta_train`` call per ``stack_key``) and
+    pretrains the baselines, fine-tunes every pretrained run in lockstep (one
+    ``fine_tune`` call: the runs share the data and the mini-batch order),
+    then scores each one and writes its directory.  Returns each run's result
+    record or the StageError that stopped it; a stopped run writes nothing.
     """
     if not runs:
         return []
@@ -180,17 +176,12 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
         with stage("generate"):
             data = generate_source(source, n_subjects)
             texts = format_split_dataset(data)
+            files = {f"data/{SPLIT_FILES[name]}": text for name, text in texts.items()}
     except StageError as e:
         return [e] * len(runs)
-    outcomes = [None] * len(runs)
     stacks = {}
     for i, run in enumerate(runs):
-        try:
-            with stage("generate"):
-                run.written += write_split_dataset(run.out_dir / "data", texts).values()
-        except StageError as e:
-            outcomes[i] = e
-            continue
+        run.files.update(files)
         if isinstance(run.recipe, MetaConfig):
             stacks.setdefault(stack_key(run.recipe), []).append(i)
     trained = {}
@@ -200,13 +191,13 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
             trained.update(zip(members, meta_train(arch, configs, data)))
         except Exception as e:  # a failure of the whole call is every member's failure
             trained.update(dict.fromkeys(members, e))
+    outcomes = [None] * len(runs)
     models = {}
     for i, run in enumerate(runs):
-        if outcomes[i] is None:
-            try:
-                models[i] = run.pretrain(arch, data, mt_iterations, mt_rate, trained.get(i))
-            except StageError as e:
-                outcomes[i] = e
+        try:
+            models[i] = run.pretrain(arch, data, mt_iterations, mt_rate, trained.get(i))
+        except StageError as e:
+            outcomes[i] = e
     if models:
         try:
             rng = derive_stream(runs[0].run_seed, 1)
@@ -239,7 +230,7 @@ def run_pipeline(
     (its seed replaced by ``run_seed``), the string "plain" skips pretraining
     and fine-tunes from a fresh initialization, "multitask" pretrains with the
     joint multi-head baseline.  Artifacts: data/ split TSVs, run_log.tsv (meta
-    only), checkpoint.json (fine-tuned model), result.json, manifest.json.
+    only), checkpoint.json, result.json, manifest.json, written once it completes.
     A pipeline is a repetition of one run, so a sweep's run directory equals
     the pipeline with the same seeds.
     """
@@ -409,6 +400,13 @@ class ExperimentPlan:
         labels = [v.label for v in self.variants]
         if len(set(labels)) != len(labels):
             raise ValueError("variant labels must be unique")
+        check_types(
+            self,
+            reals=("mt_rate",),
+            integers=("repetitions", "data_seed", "run_seed", "hidden", "n_subjects", "mt_iterations"),
+        )
+        if not isinstance(self.fine_tune, FineTuneConfig):
+            raise ValueError(f"fine_tune must be a FineTuneConfig, got {self.fine_tune!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -481,11 +479,10 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     runs repetition by repetition, all of a repetition's variants together
     (see ``_run_repetition``).  ``run_pipeline`` is the same repetition with
     one run, so every run directory is byte-identical to ``run_pipeline``
-    with the same seeds.  A failing repetition is recorded in the cell's
-    error list and does not abort the sweep.
+    with the same seeds.  A failing run is recorded in the cell's error list,
+    writes no run directory and does not abort the sweep.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     arch = default_architecture(SourceConfig().dim, plan.hidden)
     live = [v for v in plan.variants if not v.na]
     aucs = {v.label: [] for v in live}
@@ -525,10 +522,6 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
         cells.append((variant.cell, cell))
 
     table = ResultTable(tuple(cells))
-    results_json = out_dir / "results.json"
-    results_txt = out_dir / "results.txt"
-    results_json.write_text(table.emit())
-    results_txt.write_text(table.render_text())
     plan_doc = {
         "variants": [
             {
@@ -549,7 +542,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     }
     write_manifest(
         out_dir,
-        [results_json, results_txt],
+        {"results.json": table.emit(), "results.txt": table.render_text()},
         config=plan_doc,
         seeds={"data_seed": plan.data_seed, "run_seed": plan.run_seed},
     )
@@ -558,15 +551,13 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
 
 # --- learning-curve extraction --------------------------------------------------
 
-def emit_curves(log: RunLog, out_dir, window: int = 100) -> dict[str, Path]:
-    """Write per-task observation curves and a selection histogram from a run log.
+def emit_curves(log: RunLog, window: int = 100) -> dict[str, str]:
+    """Per-task observation curves and a selection histogram of a run log, as texts.
 
     task_curves.tsv has one row per sampled episode (iteration, task, AUC
     before and after adaptation, observation, reward).  sampling_histogram.tsv
     counts how often each task was selected per window of iterations.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if window < 1:
         raise ValueError("window must be >= 1")
     for r in log.records:
@@ -574,19 +565,16 @@ def emit_curves(log: RunLog, out_dir, window: int = 100) -> dict[str, Path]:
         if not (len(r.auc_before) == len(r.auc_after) == len(r.observations) == len(r.rewards) == n):
             raise ValueError(f"malformed run log: ragged record at iteration {r.iteration}")
 
-    curves = out_dir / "task_curves.tsv"
-    lines = ["iteration\ttask\tauc_before\tauc_after\tobservation\treward"]
+    curves = ["iteration\ttask\tauc_before\tauc_after\tobservation\treward"]
     for r in log.records:
         for i, task in enumerate(r.tasks):
-            lines.append(
+            curves.append(
                 f"{r.iteration}\t{task}\t{r.auc_before[i]:.17g}\t{r.auc_after[i]:.17g}"
                 f"\t{r.observations[i]:.17g}\t{r.rewards[i]:.17g}"
             )
-    curves.write_text("\n".join(lines) + "\n")
 
     task_ids = sorted({t for r in log.records for t in r.tasks})
-    hist = out_dir / "sampling_histogram.tsv"
-    lines = ["\t".join(["window_start", "window_end", *task_ids])]
+    hist = ["\t".join(["window_start", "window_end", *task_ids])]
     if log.records:
         last = max(r.iteration for r in log.records)
         for start in range(1, last + 1, window):
@@ -596,6 +584,5 @@ def emit_curves(log: RunLog, out_dir, window: int = 100) -> dict[str, Path]:
                 if start <= r.iteration <= end:
                     for t in r.tasks:
                         counts[t] += 1
-            lines.append(f"{start}\t{end}\t" + "\t".join(str(counts[t]) for t in task_ids))
-    hist.write_text("\n".join(lines) + "\n")
-    return {"task_curves": curves, "sampling_histogram": hist}
+            hist.append(f"{start}\t{end}\t" + "\t".join(str(counts[t]) for t in task_ids))
+    return {"task_curves.tsv": "\n".join(curves) + "\n", "sampling_histogram.tsv": "\n".join(hist) + "\n"}

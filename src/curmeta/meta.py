@@ -701,8 +701,8 @@ def multitask_train(
 CHECKPOINT_FORMAT = "curmeta-checkpoint-v1"
 
 
-def save_checkpoint(path, model: TrainedModel) -> None:
-    """Write a self-describing JSON checkpoint with bit-exact parameters."""
+def format_checkpoint(model: TrainedModel) -> str:
+    """A self-describing JSON checkpoint with bit-exact parameters."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "architecture": {
@@ -714,7 +714,12 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         "seed": model.provenance.seed,
         "log_hash": model.provenance.log_hash,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save_checkpoint(path, model: TrainedModel) -> None:
+    """Write ``format_checkpoint(model)`` to ``path``."""
+    Path(path).write_text(format_checkpoint(model))
 
 
 def load_checkpoint(path) -> TrainedModel:

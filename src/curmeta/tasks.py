@@ -380,13 +380,8 @@ def derive_stream(seed: int, worker: int) -> np.random.Generator:
 
 # --- tabular text serialization -------------------------------------------------
 
-def write_samples(path, samples: Samples) -> None:
-    """Write samples as TSV: subject_id, class, then one column per feature."""
-    Path(path).write_text(format_samples(samples))
-
-
 def format_samples(samples: Samples) -> str:
-    """The TSV text ``write_samples`` writes."""
+    """Samples as TSV text: subject_id, class, then one column per feature."""
     header = "subject_id\tclass" + "".join(f"\tf{i}" for i in range(samples.features.shape[1]))
     lines = [header]
     for subject, cls, row in zip(

@@ -13,7 +13,9 @@ import pytest
 
 import curmeta
 from curmeta.cli import build_meta_config, build_parser, main
-from curmeta.meta import RunLog, load_checkpoint
+from curmeta.harness import default_plan
+from curmeta.meta import FineTuneConfig, MetaConfig, RunLog, load_checkpoint
+from curmeta.tasks import SourceConfig
 
 # dim-4 source seed 2 keeps both target labels in every split at 30 subjects
 GEN_ARGS = ["--data-seed", "2", "--n-subjects", "30", "--dim", "4"]
@@ -144,6 +146,28 @@ def test_build_meta_config_precedence():
     assert cfg.meta_rate == 0.5
     assert cfg.exclude_target_task is True
     assert cfg.sampler.value == "random"  # untouched default
+
+
+def test_parser_defaults_are_the_library_defaults():
+    ft, plan = FineTuneConfig(), default_plan()
+    n = {"n_subjects": plan.n_subjects}
+    expected = {
+        "generate": {**n, "dim": SourceConfig().dim},
+        "meta-train": {**n, "hidden": plan.hidden},
+        "fine-tune": {**n, "learning_rate": ft.learning_rate, "batch_size": ft.batch_size, "epochs": ft.epochs},
+        "evaluate": n,
+        "sweep": {
+            **n,
+            "meta_updates": MetaConfig().meta_updates,
+            "repetitions": plan.repetitions,
+            "ft_epochs": ft.epochs,
+        },
+    }
+    parser = build_parser()
+    for command, values in expected.items():
+        checkpoint = ["--checkpoint", "c"] if command in ("fine-tune", "evaluate") else []
+        args = parser.parse_args([command, "--out", "x", *checkpoint])
+        assert {name: getattr(args, name) for name in values} == values, command
 
 
 def test_meta_train_rejects_unknown_config_field(tmp_path, data_dir, capsys):

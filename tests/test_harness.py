@@ -131,20 +131,21 @@ def test_pipeline_wraps_non_finite_fine_tune(tmp_path):
     assert exc.value.stage == "fine-tune"
     assert str(exc.value) == "[fine-tune] non-finite parameters during fine-tuning"
     assert not (tmp_path / "checkpoint.json").exists()
+    assert not any(tmp_path.iterdir())  # a failed run writes nothing
 
 
 # --------------------------------------------------------------- manifests
 
 
 def test_write_manifest_hashes_and_relative_paths(tmp_path):
-    f = tmp_path / "sub" / "x.txt"
-    f.parent.mkdir()
-    f.write_text("hello\n")
-    path = write_manifest(tmp_path, [f], config={"a": 1}, seeds={"s": 2})
+    path = write_manifest(tmp_path / "out", {"sub/x.txt": "hello\n"}, config={"a": 1}, seeds={"s": 2})
+    assert path == tmp_path / "out" / "manifest.json"
     doc = json.loads(path.read_text())
     assert doc["config"] == {"a": 1}
     assert doc["seeds"] == {"s": 2}
     assert doc["files"] == {"sub/x.txt": hashlib.sha256(b"hello\n").hexdigest()}
+    on_disk = (tmp_path / "out" / "sub" / "x.txt").read_bytes()
+    assert doc["files"]["sub/x.txt"] == hashlib.sha256(on_disk).hexdigest()
 
 
 # ------------------------------------------------------------ result tables
@@ -215,6 +216,21 @@ def test_experiment_plan_validation():
         ExperimentPlan((v, v))
     with pytest.raises(ValueError):
         ExperimentPlan((v,), repetitions=0)
+    # each bad field fails at the plan, naming the field, not at a later stage
+    for name, value in [
+        ("data_seed", 1.5),
+        ("run_seed", "0"),
+        ("n_subjects", 30.0),
+        ("hidden", True),
+        ("mt_iterations", None),
+        ("repetitions", 1.0),
+        ("mt_rate", "x"),
+        ("mt_rate", float("nan")),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentPlan((v,), **{name: value})
+    with pytest.raises(ValueError, match="^fine_tune must be a FineTuneConfig"):
+        ExperimentPlan((v,), fine_tune={"epochs": 2})
 
 
 def test_default_plan_structure():
@@ -399,6 +415,8 @@ def test_run_sweep_captures_per_repetition_failures(tmp_path):
     assert "[meta-train]" in cell.errors[0]
     assert table.cell("Plain", 0, "").n == 2  # the rest of the sweep still ran
     assert "failed" in (tmp_path / "results.txt").read_text()
+    assert not (tmp_path / "runs" / "broken").exists()  # a failed run writes nothing
+    assert (tmp_path / "runs" / "plain" / "rep0" / "manifest.json").is_file()
 
 
 def test_run_sweep_records_generate_failures_for_every_variant(tmp_path):
@@ -408,6 +426,7 @@ def test_run_sweep_records_generate_failures_for_every_variant(tmp_path):
         assert cell.n == 0 and len(cell.errors) == 2
         assert all(e.startswith(f"rep{r}: [generate]") for r, e in enumerate(cell.errors))
     assert not any((tmp_path / "runs").rglob("*.tsv"))
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_sweep_of_only_na_variants_writes_tables_and_runs_nothing(tmp_path, monkeypatch):
@@ -440,14 +459,14 @@ def curve_log():
     return log
 
 
-def test_emit_curves_row_counts(tmp_path, curve_log):
-    paths = emit_curves(curve_log, tmp_path, window=2)
-    curve_lines = paths["task_curves"].read_text().splitlines()
+def test_emit_curves_row_counts(curve_log):
+    texts = emit_curves(curve_log, window=2)
+    curve_lines = texts["task_curves.tsv"].splitlines()
     n_episodes = sum(len(r.tasks) for r in curve_log.records)
     assert len(curve_lines) == 1 + n_episodes
     assert curve_lines[0] == "iteration\ttask\tauc_before\tauc_after\tobservation\treward"
 
-    hist_lines = paths["sampling_histogram"].read_text().splitlines()
+    hist_lines = texts["sampling_histogram.tsv"].splitlines()
     header = hist_lines[0].split("\t")
     assert header[:2] == ["window_start", "window_end"]
     task_ids = header[2:]
@@ -459,35 +478,35 @@ def test_emit_curves_row_counts(tmp_path, curve_log):
     assert task_ids == sorted(task_ids)
 
 
-def test_emit_curves_alltask_histogram_uniform(tmp_path):
+def test_emit_curves_alltask_histogram_uniform():
     data = generate_source(SMALL_SOURCE, n_subjects=30)
     cfg = MetaConfig(meta_updates=4, inner_steps=1, meta_batch_size=5, sampler="alltask", seed=0)
     _, log = meta_train(SMALL_ARCH, cfg, data)
-    paths = emit_curves(log, tmp_path, window=4)
-    line = paths["sampling_histogram"].read_text().splitlines()[1]
+    texts = emit_curves(log, window=4)
+    line = texts["sampling_histogram.tsv"].splitlines()[1]
     counts = [int(c) for c in line.split("\t")[2:]]
     assert counts == [4, 4, 4, 4, 4]
 
 
-def test_emit_curves_empty_log(tmp_path):
-    paths = emit_curves(RunLog(()), tmp_path)
-    assert paths["task_curves"].read_text().splitlines() == [
+def test_emit_curves_empty_log():
+    texts = emit_curves(RunLog(()))
+    assert texts["task_curves.tsv"].splitlines() == [
         "iteration\ttask\tauc_before\tauc_after\tobservation\treward"
     ]
-    assert paths["sampling_histogram"].read_text().splitlines() == ["window_start\twindow_end"]
+    assert texts["sampling_histogram.tsv"].splitlines() == ["window_start\twindow_end"]
 
 
-def test_emit_curves_rejects_ragged_records(tmp_path):
+def test_emit_curves_rejects_ragged_records():
     ragged = RunLog(
         (MetaUpdateRecord(1, "cl", ("K1", "K2"), (0.5,), (0.6,), (0.1,), (0.1,), 1.0),)
     )
     with pytest.raises(ValueError, match="ragged"):
-        emit_curves(ragged, tmp_path)
+        emit_curves(ragged)
 
 
-def test_emit_curves_rejects_bad_window(tmp_path, curve_log):
+def test_emit_curves_rejects_bad_window(curve_log):
     with pytest.raises(ValueError):
-        emit_curves(curve_log, tmp_path, window=0)
+        emit_curves(curve_log, window=0)
 
 
 def test_emit_curves_round_trip_from_file(tmp_path, curve_log):
@@ -495,8 +514,9 @@ def test_emit_curves_round_trip_from_file(tmp_path, curve_log):
     log_path = tmp_path / "run_log.tsv"
     log_path.write_text(curve_log.to_tsv())
     reloaded = RunLog.from_tsv(log_path.read_text())
-    paths = emit_curves(reloaded, tmp_path)
-    assert paths["task_curves"].exists()
+    texts = emit_curves(reloaded)
+    assert texts["task_curves.tsv"]
+    assert texts == emit_curves(curve_log)
 
 
 def test_default_architecture_shape():

@@ -24,6 +24,7 @@ from curmeta.tasks import (
     TaskDefinition,
     default_means,
     derive_stream,
+    format_samples,
     format_split_dataset,
     generate_source,
     map_labels,
@@ -31,7 +32,6 @@ from curmeta.tasks import (
     read_split_dataset,
     sample_episode,
     split_subject_counts,
-    write_samples,
     write_split_dataset,
 )
 from oracles import reference_sample_episode, source_rows
@@ -427,7 +427,7 @@ def test_derive_stream_deterministic_and_distinct():
 
 def test_samples_tsv_round_trip(tmp_path, small_data):
     path = tmp_path / "samples.tsv"
-    write_samples(path, small_data.train)
+    path.write_text(format_samples(small_data.train))
     back = read_samples(path)
     assert len(back) == len(small_data.train)
     assert np.array_equal(back.features, small_data.train.features)  # bit-exact via %.17g
@@ -452,7 +452,7 @@ def test_split_dataset_round_trip(tmp_path, small_data):
 @pytest.mark.parametrize("edit", ["drop_feature", "extra_field"])
 def test_read_samples_rejects_row_of_wrong_width(tmp_path, small_data, edit):
     path = tmp_path / "samples.tsv"
-    write_samples(path, small_data.train[:3])
+    path.write_text(format_samples(small_data.train[:3]))
     lines = path.read_text().splitlines()
     if edit == "drop_feature":
         lines[2] = lines[2].rsplit("\t", 1)[0]
@@ -467,14 +467,14 @@ def test_read_samples_rejects_row_of_wrong_width(tmp_path, small_data, edit):
 def test_read_split_dataset_rejects_splits_of_unequal_width(tmp_path, name):
     write_split_dataset(tmp_path, format_split_dataset(generate_source(SourceConfig(dim=16), 30)))
     narrow = generate_source(SourceConfig(dim=8), 30)
-    write_samples(tmp_path / f"{name}.tsv", getattr(narrow, name))
+    (tmp_path / f"{name}.tsv").write_text(format_samples(getattr(narrow, name)))
     with pytest.raises(ValueError, match=f"the {name} split has 8 features, the train split has 16"):
         read_split_dataset(tmp_path)
 
 
 def test_read_split_dataset_rejects_empty_train_split(tmp_path, small_data):
     write_split_dataset(tmp_path, format_split_dataset(small_data))
-    write_samples(tmp_path / "train.tsv", small_data.train[:0])
+    (tmp_path / "train.tsv").write_text(format_samples(small_data.train[:0]))
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'train.tsv'}: ")):
         read_split_dataset(tmp_path)
 
@@ -491,7 +491,7 @@ def test_read_split_dataset_rejects_empty_train_split(tmp_path, small_data):
 )
 def test_read_samples_rejects_bad_cells_naming_line_and_column(tmp_path, small_data, column, value, message):
     path = tmp_path / "samples.tsv"
-    write_samples(path, small_data.train[:4])
+    path.write_text(format_samples(small_data.train[:4]))
     lines = path.read_text().splitlines()
     cells = lines[3].split("\t")
     cells[column] = value
@@ -504,8 +504,8 @@ def test_read_samples_rejects_bad_cells_naming_line_and_column(tmp_path, small_d
 
 def test_samples_tsv_bytes_are_unchanged_by_a_round_trip(tmp_path, small_data):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    write_samples(a, small_data.train)
-    write_samples(b, read_samples(a))
+    a.write_text(format_samples(small_data.train))
+    b.write_text(format_samples(read_samples(a)))
     assert a.read_bytes() == b.read_bytes()
     rows = a.read_text().splitlines()
     train = small_data.train
