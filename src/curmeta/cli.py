@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    CURVE_WINDOW,
     DEFAULT_HIDDEN,
     ExperimentPlan,
     StageError,
@@ -100,19 +100,18 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 def load_data(args):
     if args.data is not None:
         return read_split_dataset(args.data)
-    seed = args.data_seed if args.data_seed is not None else 0
+    seed = args.data_seed if args.data_seed is not None else SourceConfig.seed
     return generate_source(SourceConfig(seed=seed), args.n_subjects)
 
 
 def cmd_generate(args) -> int:
-    seed = args.data_seed if args.data_seed is not None else 0
-    data = generate_source(SourceConfig(seed=seed, dim=args.dim), args.n_subjects)
+    data = generate_source(SourceConfig(seed=args.data_seed, dim=args.dim), args.n_subjects)
     texts = format_split_dataset(data)
     write_manifest(
         args.out,
         {SPLIT_FILES[name]: text for name, text in texts.items()},
         config={"dim": args.dim, "n_subjects": args.n_subjects},
-        seeds={"data_seed": seed},
+        seeds={"data_seed": args.data_seed},
     )
     print(f"wrote {len(texts)} splits to {args.out}")
     return 0
@@ -140,13 +139,12 @@ def cmd_fine_tune(args) -> int:
     ft = FineTuneConfig(
         learning_rate=args.learning_rate, batch_size=args.batch_size, epochs=args.epochs
     )
-    seed = args.seed if args.seed is not None else 0
-    tuned = fine_tune(model, task, data, ft, rng=derive_stream(seed, 1))
+    tuned = fine_tune(model, task, data, ft, rng=derive_stream(args.seed, 1))
     write_manifest(
         args.out,
         {"checkpoint.json": format_checkpoint(tuned)},
         config={"task": args.task, "fine_tune": config_to_dict(ft)},
-        seeds={"seed": seed, "data_seed": args.data_seed},
+        seeds={"seed": args.seed, "data_seed": args.data_seed},
     )
     print(f"fine-tuned on {args.task}, checkpoint at {args.out / 'checkpoint.json'}")
     return 0
@@ -172,12 +170,13 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     plan = default_plan(
         meta_updates=args.meta_updates,
-        repetitions=args.repetitions,
-        data_seed=args.data_seed if args.data_seed is not None else 0,
-        run_seed=args.run_seed,
         include_baselines=not args.no_baselines,
+        repetitions=args.repetitions,
+        data_seed=args.data_seed,
+        run_seed=args.run_seed,
+        n_subjects=args.n_subjects,
+        fine_tune=FineTuneConfig(epochs=args.ft_epochs),
     )
-    plan = replace(plan, n_subjects=args.n_subjects, fine_tune=FineTuneConfig(epochs=args.ft_epochs))
     print(run_sweep(plan, args.out).render_text(), end="")
     return 0
 
@@ -198,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize the subject-split source data")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--data-seed", type=int)
+    p.add_argument("--data-seed", type=int, default=SourceConfig.seed)
     p.add_argument("--n-subjects", type=int, default=ExperimentPlan.n_subjects)
     p.add_argument("--dim", type=int, default=SourceConfig.dim)
     p.set_defaults(func=cmd_generate)
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=FineTuneConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=FineTuneConfig.batch_size)
     p.add_argument("--epochs", type=int, default=FineTuneConfig.epochs)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.run_seed, help="fine-tuning run seed")
     _add_data_flags(p)
     p.set_defaults(func=cmd_fine_tune)
 
@@ -233,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--meta-updates", type=int, default=MetaConfig.meta_updates)
     p.add_argument("--repetitions", type=int, default=ExperimentPlan.repetitions)
-    p.add_argument("--data-seed", type=int)
-    p.add_argument("--run-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=int, default=ExperimentPlan.data_seed)
+    p.add_argument("--run-seed", type=int, default=ExperimentPlan.run_seed)
     p.add_argument("--n-subjects", type=int, default=ExperimentPlan.n_subjects)
     p.add_argument("--ft-epochs", type=int, default=FineTuneConfig.epochs, help="fine-tune epochs per run")
     p.add_argument("--no-baselines", action="store_true")
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="extract per-task curves from a run log")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--log", type=Path, required=True)
-    p.add_argument("--window", type=int, default=100)
+    p.add_argument("--window", type=int, default=CURVE_WINDOW)
     p.set_defaults(func=cmd_curves)
 
     return parser

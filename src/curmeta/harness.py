@@ -66,6 +66,7 @@ class StageError(RuntimeError):
 
 BASELINE_KINDS = ("plain", "multitask")
 DEFAULT_HIDDEN = 24
+CURVE_WINDOW = 100  # meta-updates per sampling-histogram row
 
 
 def default_architecture(dim: int, hidden: int = DEFAULT_HIDDEN) -> Architecture:
@@ -108,7 +109,7 @@ class _Run:
         self.run_seed = run_seed
         self.files: dict[str, str] = {}
 
-    def pretrain(self, arch, data, mt_iterations: int, mt_rate: float, trained) -> TrainedModel:
+    def pretrain(self, arch, data, plan: ExperimentPlan, trained) -> TrainedModel:
         """The pretrained model; a meta run gets ``trained``, its entry of a ``meta_train`` call."""
         with stage("meta-train"):
             if isinstance(self.recipe, MetaConfig):
@@ -124,8 +125,8 @@ class _Run:
                     arch,
                     TASKS,
                     data,
-                    learning_rate=mt_rate,
-                    iterations=mt_iterations,
+                    learning_rate=plan.mt_rate,
+                    iterations=plan.mt_iterations,
                     rng=derive_stream(self.run_seed, 2),
                 )
         return model
@@ -160,8 +161,10 @@ class _Run:
         return result
 
 
-def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) -> list:
-    """Take runs that share data and a run seed through every stage.
+def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
+    """Take ``runs``, ``(recipe, out_dir)`` pairs, through every stage of
+    repetition ``rep`` of ``plan``: data seed ``plan.data_seed + rep`` and run
+    seed ``plan.run_seed + rep`` for every run.
 
     Generates the data and formats its TSVs once for every run, meta-trains
     the meta runs in lockstep (one ``meta_train`` call per ``stack_key``) and
@@ -172,13 +175,17 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
     """
     if not runs:
         return []
+    data_seed, run_seed = plan.data_seed + rep, plan.run_seed + rep
+    runs = [_Run(recipe, out_dir, data_seed, run_seed) for recipe, out_dir in runs]
     try:
         with stage("generate"):
-            data = generate_source(source, n_subjects)
+            source = SourceConfig(seed=data_seed)
+            data = generate_source(source, plan.n_subjects)
             texts = format_split_dataset(data)
             files = {f"data/{SPLIT_FILES[name]}": text for name, text in texts.items()}
     except StageError as e:
         return [e] * len(runs)
+    arch = default_architecture(source.dim, plan.hidden)
     stacks = {}
     for i, run in enumerate(runs):
         run.files.update(files)
@@ -186,7 +193,7 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
             stacks.setdefault(stack_key(run.recipe), []).append(i)
     trained = {}
     for members in stacks.values():
-        configs = [replace(runs[i].recipe, seed=runs[i].run_seed) for i in members]
+        configs = [replace(runs[i].recipe, seed=run_seed) for i in members]
         try:
             trained.update(zip(members, meta_train(arch, configs, data)))
         except Exception as e:  # a failure of the whole call is every member's failure
@@ -195,13 +202,13 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
     models = {}
     for i, run in enumerate(runs):
         try:
-            models[i] = run.pretrain(arch, data, mt_iterations, mt_rate, trained.get(i))
+            models[i] = run.pretrain(arch, data, plan, trained.get(i))
         except StageError as e:
             outcomes[i] = e
     if models:
         try:
-            rng = derive_stream(runs[0].run_seed, 1)
-            tuned = fine_tune(list(models.values()), K5, data, ft, rng=rng)
+            rng = derive_stream(run_seed, 1)
+            tuned = fine_tune(list(models.values()), K5, data, plan.fine_tune, rng=rng)
         except Exception as e:  # a failure of the whole call is every run's failure
             tuned = [e] * len(models)
         for i, final in zip(models, tuned):
@@ -212,36 +219,23 @@ def _run_repetition(runs, source, n_subjects, arch, ft, mt_iterations, mt_rate) 
     return outcomes
 
 
-def run_pipeline(
-    recipe,
-    out_dir,
-    data_seed: int = 0,
-    run_seed: int = 0,
-    ft: FineTuneConfig | None = None,
-    arch: Architecture | None = None,
-    n_subjects: int = 117,
-    source: SourceConfig | None = None,
-    mt_iterations: int = 3000,
-    mt_rate: float = 0.01,
-) -> dict:
+def run_pipeline(recipe, out_dir, **settings) -> dict:
     """Run one full experiment and return the result record.
 
     ``recipe`` selects the pretraining stage: a MetaConfig runs meta-training
-    (its seed replaced by ``run_seed``), the string "plain" skips pretraining
+    (its seed replaced by the run seed), the string "plain" skips pretraining
     and fine-tunes from a fresh initialization, "multitask" pretrains with the
-    joint multi-head baseline.  Artifacts: data/ split TSVs, run_log.tsv (meta
-    only), checkpoint.json, result.json, manifest.json, written once it completes.
-    A pipeline is a repetition of one run, so a sweep's run directory equals
-    the pipeline with the same seeds.
+    joint multi-head baseline.  ``settings`` are ``ExperimentPlan`` fields by
+    name, with the plan's defaults and checks.  Artifacts: data/ split TSVs,
+    run_log.tsv (meta only), checkpoint.json, result.json, manifest.json,
+    written once it completes.  A pipeline is a one-run repetition of a
+    one-repetition plan, so a sweep's run directory equals the pipeline with
+    the same seeds.
     """
     if isinstance(recipe, str) and recipe not in BASELINE_KINDS:
         raise StageError("pretrain", f"unknown pipeline designator {recipe!r}")
-    with stage("generate"):
-        source = source if source is not None else SourceConfig(seed=data_seed)
-    arch = arch if arch is not None else default_architecture(source.dim)
-    ft = ft if ft is not None else FineTuneConfig()
-    run = _Run(recipe, out_dir, data_seed, run_seed)
-    [result] = _run_repetition([run], source, n_subjects, arch, ft, mt_iterations, mt_rate)
+    plan = ExperimentPlan((), repetitions=1, **settings)
+    [result] = _run_repetition(plan, 0, [(recipe, out_dir)])
     if isinstance(result, StageError):
         raise result
     return result
@@ -392,7 +386,7 @@ class ExperimentPlan:
     fine_tune: FineTuneConfig = field(default_factory=FineTuneConfig)
     hidden: int = DEFAULT_HIDDEN
     n_subjects: int = 117
-    mt_iterations: int = 3000
+    mt_iterations: int = MetaConfig.meta_updates
     mt_rate: float = 0.01
 
     def __post_init__(self):
@@ -415,11 +409,7 @@ GRID_SAMPLERS = (SamplerKind.RANDOM, SamplerKind.ALL_TASK, SamplerKind.MAB, Samp
 
 
 def default_plan(
-    meta_updates: int = 3000,
-    repetitions: int = 10,
-    data_seed: int = 0,
-    run_seed: int = 0,
-    include_baselines: bool = True,
+    meta_updates: int = MetaConfig.meta_updates, include_baselines: bool = True, **settings
 ) -> ExperimentPlan:
     """The full comparison grid.
 
@@ -427,6 +417,8 @@ def default_plan(
     no-target-task ablation (pool of four tasks, meta-batch 4), and the plain
     and multi-task baselines.  The all-task sampler is only defined when the
     meta-batch equals the pool size, so the meta-batch 3 cell is marked N/A.
+    ``meta_updates`` is also the multi-task budget ``mt_iterations``; every
+    other setting is an ``ExperimentPlan`` field passed by name.
     """
     variants = []
     for mb in (3, 5):
@@ -462,13 +454,7 @@ def default_plan(
     if include_baselines:
         variants.append(Variant("plain", CellKey("Plain", 0, ""), baseline="plain"))
         variants.append(Variant("multitask", CellKey("Multi-task", 0, ""), baseline="multitask"))
-    return ExperimentPlan(
-        tuple(variants),
-        repetitions=repetitions,
-        data_seed=data_seed,
-        run_seed=run_seed,
-        mt_iterations=meta_updates,
-    )
+    return ExperimentPlan(tuple(variants), mt_iterations=meta_updates, **settings)
 
 
 def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
@@ -483,26 +469,15 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     writes no run directory and does not abort the sweep.
     """
     out_dir = Path(out_dir)
-    arch = default_architecture(SourceConfig().dim, plan.hidden)
     live = [v for v in plan.variants if not v.na]
     aucs = {v.label: [] for v in live}
     errors = {v.label: [] for v in live}
     for rep in range(plan.repetitions):
-        data_seed, run_seed = plan.data_seed + rep, plan.run_seed + rep
         runs = [
-            _Run(
-                v.meta if v.meta is not None else v.baseline,
-                out_dir / "runs" / v.label / f"rep{rep}",
-                data_seed,
-                run_seed,
-            )
+            (v.meta if v.meta is not None else v.baseline, out_dir / "runs" / v.label / f"rep{rep}")
             for v in live
         ]
-        source = SourceConfig(seed=data_seed)
-        outcomes = _run_repetition(
-            runs, source, plan.n_subjects, arch, plan.fine_tune, plan.mt_iterations, plan.mt_rate
-        )
-        for v, outcome in zip(live, outcomes):
+        for v, outcome in zip(live, _run_repetition(plan, rep, runs)):
             if isinstance(outcome, StageError):
                 errors[v.label].append(f"rep{rep}: {outcome}")
             else:
@@ -551,7 +526,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
 
 # --- learning-curve extraction --------------------------------------------------
 
-def emit_curves(log: RunLog, window: int = 100) -> dict[str, str]:
+def emit_curves(log: RunLog, window: int = CURVE_WINDOW) -> dict[str, str]:
     """Per-task observation curves and a selection histogram of a run log, as texts.
 
     task_curves.tsv has one row per sampled episode (iteration, task, AUC

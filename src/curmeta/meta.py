@@ -572,7 +572,7 @@ def fine_tune(
     or is the ``FloatingPointError`` that call would raise; such a model
     leaves the stack and the others carry on.  One model is a stack of one.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     train = map_labels(target_task, data.train)
     val = map_labels(target_task, data.validation)
     if not isinstance(model, TrainedModel):
@@ -666,7 +666,7 @@ def multitask_train(
         raise ValueError("task pool is empty")
     if target_task not in pool:
         raise ValueError(f"target task {target_task.id} not in the pool")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     head_len = _head_length(arch)
     trunk_len = arch.param_count - head_len

@@ -55,7 +55,7 @@ class SamplerState:
         if capacity < 1:
             raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.rng = np.random.default_rng(rng)
         self.buffers: dict[str, deque] = {}
         self.last_observation: dict[str, float] = {}
 

@@ -374,7 +374,9 @@ def sample_episode(
 
 
 def derive_stream(seed: int, worker: int) -> np.random.Generator:
-    """Independent RNG stream for a worker: master seed plus 1000 per worker."""
+    """RNG stream for a worker: master seed plus 1000 per worker.  Streams of
+    different seeds overlap: ``derive_stream(1000, 0)`` is ``derive_stream(0, 1)``
+    (ROADMAP, Known defects: "Seed streams overlap")."""
     return np.random.default_rng(seed + 1000 * worker)
 
 

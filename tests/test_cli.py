@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process via main)."""
 
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 import curmeta
 from curmeta.cli import build_meta_config, build_parser, main
-from curmeta.harness import default_plan
+from curmeta.harness import default_plan, emit_curves
 from curmeta.meta import FineTuneConfig, MetaConfig, RunLog, load_checkpoint
 from curmeta.tasks import SourceConfig
 
@@ -151,22 +152,32 @@ def test_build_meta_config_precedence():
 def test_parser_defaults_are_the_library_defaults():
     ft, plan = FineTuneConfig(), default_plan()
     n = {"n_subjects": plan.n_subjects}
+    no_seed = {**n, "data_seed": None}  # data from --data has no seed to record
     expected = {
-        "generate": {**n, "dim": SourceConfig().dim},
-        "meta-train": {**n, "hidden": plan.hidden},
-        "fine-tune": {**n, "learning_rate": ft.learning_rate, "batch_size": ft.batch_size, "epochs": ft.epochs},
-        "evaluate": n,
+        "generate": {**n, "dim": SourceConfig().dim, "data_seed": SourceConfig().seed},
+        "meta-train": {**no_seed, "hidden": plan.hidden},
+        "fine-tune": {
+            **no_seed,
+            "learning_rate": ft.learning_rate,
+            "batch_size": ft.batch_size,
+            "epochs": ft.epochs,
+            "seed": plan.run_seed,
+        },
+        "evaluate": no_seed,
         "sweep": {
             **n,
             "meta_updates": MetaConfig().meta_updates,
             "repetitions": plan.repetitions,
             "ft_epochs": ft.epochs,
+            "data_seed": plan.data_seed,
+            "run_seed": plan.run_seed,
         },
+        "curves": {"window": inspect.signature(emit_curves).parameters["window"].default},
     }
     parser = build_parser()
     for command, values in expected.items():
-        checkpoint = ["--checkpoint", "c"] if command in ("fine-tune", "evaluate") else []
-        args = parser.parse_args([command, "--out", "x", *checkpoint])
+        extra = {"fine-tune": ["--checkpoint", "c"], "evaluate": ["--checkpoint", "c"], "curves": ["--log", "l"]}
+        args = parser.parse_args([command, "--out", "x", *extra.get(command, [])])
         assert {name: getattr(args, name) for name in values} == values, command
 
 

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from curmeta.harness import (
     write_manifest,
 )
 from curmeta.meta import FineTuneConfig, MetaConfig, MetaUpdateRecord, RunLog, meta_train
-from curmeta.tasks import SourceConfig, generate_source
+from curmeta.tasks import SourceConfig, format_samples, generate_source
 
 SMALL_SOURCE = SourceConfig(dim=4, seed=2)  # every split holds both target labels
 SMALL_ARCH = default_architecture(4, hidden=6)
@@ -31,10 +31,9 @@ QUICK_FT = FineTuneConfig(epochs=2)
 
 
 def quick_pipeline(recipe, out_dir, **kw):
-    kw.setdefault("source", SMALL_SOURCE)
-    kw.setdefault("arch", SMALL_ARCH)
-    kw.setdefault("n_subjects", 30)
-    kw.setdefault("ft", QUICK_FT)
+    kw.setdefault("hidden", 6)
+    kw.setdefault("n_subjects", 40)  # every split of data seeds 0-11 holds both target labels
+    kw.setdefault("fine_tune", QUICK_FT)
     kw.setdefault("mt_iterations", 3)
     return run_pipeline(recipe, out_dir, **kw)
 
@@ -63,6 +62,9 @@ def test_pipeline_meta_artifacts_and_manifest(tmp_path):
         assert actual == digest, rel
     assert "run_log.tsv" in manifest["files"]
     assert "data/train.tsv" in manifest["files"]
+    # the data follows data_seed, the seed the manifest records
+    expected = format_samples(generate_source(SourceConfig(seed=1), 40).train)
+    assert (tmp_path / "data" / "train.tsv").read_text() == expected
 
 
 def test_pipeline_runs_are_byte_deterministic(tmp_path):
@@ -127,11 +129,28 @@ def test_pipeline_wraps_training_failure(tmp_path):
 def test_pipeline_wraps_non_finite_fine_tune(tmp_path):
     diverging = FineTuneConfig(epochs=2, learning_rate=1e300)
     with pytest.raises(StageError) as exc, np.errstate(over="ignore", invalid="ignore"):
-        quick_pipeline("plain", tmp_path, ft=diverging)
+        quick_pipeline("plain", tmp_path, fine_tune=diverging)
     assert exc.value.stage == "fine-tune"
     assert str(exc.value) == "[fine-tune] non-finite parameters during fine-tuning"
     assert not (tmp_path / "checkpoint.json").exists()
     assert not any(tmp_path.iterdir())  # a failed run writes nothing
+
+
+def test_run_pipeline_rejects_bad_settings_naming_them(tmp_path, monkeypatch):
+    from curmeta import harness
+
+    generated = []
+    monkeypatch.setattr(harness, "generate_source", lambda *args: generated.append(args))
+    for name, value in [
+        ("n_subjects", 30.0),
+        ("mt_rate", float("nan")),
+        ("data_seed", 1.5),
+        ("fine_tune", {"epochs": 2}),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_pipeline(QUICK_META, tmp_path, **{name: value})
+    assert generated == []
+    assert not any(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------- manifests
@@ -256,6 +275,30 @@ def test_default_plan_structure():
     assert sorted(v.baseline for v in baselines) == ["multitask", "plain"]
 
 
+def plan_defaults():
+    """Every ExperimentPlan setting's class default, by field name."""
+    return {
+        f.name: f.default_factory() if f.default is MISSING else f.default
+        for f in fields(ExperimentPlan)
+        if f.name != "variants"
+    }
+
+
+def test_entry_points_take_the_plan_defaults(tmp_path, monkeypatch):
+    from curmeta import harness
+
+    plan = default_plan()
+    assert {name: getattr(plan, name) for name in plan_defaults()} == plan_defaults()
+    assert {v.meta.meta_updates for v in plan.variants if v.meta is not None} == {MetaConfig.meta_updates}
+
+    captured = []
+    monkeypatch.setattr(harness, "_run_repetition", lambda plan, rep, runs: captured.append(plan) or [{}])
+    run_pipeline("plain", tmp_path)
+    [plan] = captured
+    assert plan.variants == ()
+    assert {name: getattr(plan, name) for name in plan_defaults()} == {**plan_defaults(), "repetitions": 1}
+
+
 def test_default_plan_without_baselines():
     plan = default_plan(include_baselines=False)
     assert len(plan.variants) == 12
@@ -357,8 +400,8 @@ def test_run_sweep_run_dirs_equal_run_pipeline(tmp_path):
                 alone,
                 data_seed=1 + rep,
                 run_seed=4 + rep,
-                ft=ft,
-                arch=default_architecture(SourceConfig().dim, 6),
+                fine_tune=ft,
+                hidden=6,
                 n_subjects=30,
                 mt_iterations=3,
                 mt_rate=plan.mt_rate,
