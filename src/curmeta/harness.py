@@ -66,6 +66,7 @@ class StageError(RuntimeError):
 
 BASELINE_KINDS = ("plain", "multitask")
 DEFAULT_HIDDEN = 24
+MT_RATE = 0.01  # learning rate of the multi-task baseline
 CURVE_WINDOW = 100  # meta-updates per sampling-histogram row
 
 
@@ -125,7 +126,7 @@ class _Run:
                     arch,
                     TASKS,
                     data,
-                    learning_rate=plan.mt_rate,
+                    learning_rate=MT_RATE,
                     iterations=plan.mt_iterations,
                     rng=derive_stream(self.run_seed, 2),
                 )
@@ -381,13 +382,12 @@ class Variant:
 class ExperimentPlan:
     variants: tuple[Variant, ...]
     repetitions: int = 10
-    data_seed: int = 0
-    run_seed: int = 0
+    data_seed: int = SourceConfig.seed
+    run_seed: int = MetaConfig.seed
     fine_tune: FineTuneConfig = field(default_factory=FineTuneConfig)
     hidden: int = DEFAULT_HIDDEN
     n_subjects: int = 117
     mt_iterations: int = MetaConfig.meta_updates
-    mt_rate: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
@@ -396,13 +396,17 @@ class ExperimentPlan:
             raise ValueError("variant labels must be unique")
         check_types(
             self,
-            reals=("mt_rate",),
             integers=("repetitions", "data_seed", "run_seed", "hidden", "n_subjects", "mt_iterations"),
         )
         if not isinstance(self.fine_tune, FineTuneConfig):
             raise ValueError(f"fine_tune must be a FineTuneConfig, got {self.fine_tune!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("data_seed", "run_seed", "mt_iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 GRID_SAMPLERS = (SamplerKind.RANDOM, SamplerKind.ALL_TASK, SamplerKind.MAB, SamplerKind.CL)
@@ -513,7 +517,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
         "hidden": plan.hidden,
         "n_subjects": plan.n_subjects,
         "mt_iterations": plan.mt_iterations,
-        "mt_rate": plan.mt_rate,
+        "mt_rate": MT_RATE,
     }
     write_manifest(
         out_dir,

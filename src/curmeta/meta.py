@@ -79,6 +79,8 @@ class MetaConfig:
             raise ValueError("n_tr and n_val must be >= 2 (both labels per set)")
         if self.meta_batch_size < 1:
             raise ValueError(f"meta_batch_size must be >= 1, got {self.meta_batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ class TrainedModel:
 
 
 class NetLoss:
-    """Cross-entropy objective of a net, exposed as loss/grad/Hessian-vector callables.
+    """Cross-entropy objective of a net, exposed as grad/Hessian-vector callables.
 
     Anything with this interface can drive the adaptation and meta-gradient
     machinery; tests use closed-form objectives the same way.  ``grad`` must
@@ -137,9 +139,6 @@ class NetLoss:
 
     def __init__(self, arch: Architecture):
         self.arch = arch
-
-    def loss(self, params: ParamVector, batch: Batch) -> float:
-        return nets.batch_loss(self.arch, params, batch)
 
     def grad(self, params: ParamVector, batch: Batch) -> ParamVector:
         return nets.grad(self.arch, params, batch)
@@ -645,27 +644,28 @@ def _head_length(arch: Architecture) -> int:
     return (arch.layer_widths[-2] + 1) * arch.layer_widths[-1]
 
 
+MULTITASK_BATCH = 4  # samples per task per multi-task iteration
+
+
 def multitask_train(
     arch: Architecture,
     task_pool,
     data: SplitDataset,
     learning_rate: float,
     iterations: int,
-    batch_size: int = 4,
     rng=0,
-    target_task: TaskDefinition = K5,
 ) -> TrainedModel:
     """Joint training baseline: shared trunk, one output head per task.
 
-    Every iteration samples one batch per task and descends the summed
-    cross-entropy losses; the trunk accumulates all task gradients, each head
-    only its own.  The returned model is trunk plus the target task's head.
+    Every iteration samples ``MULTITASK_BATCH`` samples per task and descends
+    the summed cross-entropy losses; the trunk accumulates all task gradients,
+    each head only its own.  The returned model is trunk plus K5's head.
     """
     pool = list(task_pool)
     if not pool:
         raise ValueError("task pool is empty")
-    if target_task not in pool:
-        raise ValueError(f"target task {target_task.id} not in the pool")
+    if K5 not in pool:
+        raise ValueError(f"target task {K5.id} not in the pool")
     rng = np.random.default_rng(rng)
 
     head_len = _head_length(arch)
@@ -683,7 +683,7 @@ def multitask_train(
         for task in pool:
             full_batch = mapped[task.id]
             n = len(full_batch)
-            idx = rng.choice(n, size=min(batch_size, n), replace=n < batch_size)
+            idx = rng.choice(n, size=min(MULTITASK_BATCH, n), replace=n < MULTITASK_BATCH)
             mini = Batch(full_batch.inputs[idx], full_batch.labels[idx])
             g = nets.grad(arch, np.concatenate([trunk, heads[task.id]]), mini)
             trunk_grad += g[:trunk_len]
@@ -692,7 +692,7 @@ def multitask_train(
         if not np.all(np.isfinite(trunk)):
             raise FloatingPointError("non-finite parameters during multi-task training")
 
-    params = np.concatenate([trunk, heads[target_task.id]])
+    params = np.concatenate([trunk, heads[K5.id]])
     return TrainedModel(arch, params, Provenance({"baseline": "multitask"}, 0, ""))
 
 

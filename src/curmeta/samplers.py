@@ -10,7 +10,7 @@ Four strategies share one state object:
 * mab      -- same buffer machinery, but buffers hold observations and the
               largest signed drawn value wins
 
-Buffers are bounded queues (capacity 10 by default, oldest evicted first).
+Buffers are bounded queues (capacity 10, oldest evicted first).
 Tasks whose buffer is still empty take selection priority in ascending pool
 order, so every buffer gets primed before the draw rule kicks in.  Ties in
 the argmax break toward the lowest pool index.  SamplerState is single-writer:
@@ -26,6 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .tasks import TaskDefinition
+
+
+BUFFER_CAPACITY = 10  # recent rewards/observations kept per task
 
 
 class SamplerKind(str, Enum):
@@ -50,18 +53,15 @@ class OutcomeRecord:
 class SamplerState:
     """Per-task reward/observation buffers plus the selection RNG."""
 
-    def __init__(self, kind, rng=0, capacity: int = 10):
+    def __init__(self, kind, rng=0):
         self.kind = SamplerKind(kind)
-        if capacity < 1:
-            raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
         self.rng = np.random.default_rng(rng)
         self.buffers: dict[str, deque] = {}
         self.last_observation: dict[str, float] = {}
 
     def buffer(self, task_id: str) -> deque:
         if task_id not in self.buffers:
-            self.buffers[task_id] = deque(maxlen=self.capacity)
+            self.buffers[task_id] = deque(maxlen=BUFFER_CAPACITY)
         return self.buffers[task_id]
 
 

@@ -2,7 +2,7 @@
 
 Source samples are Gaussian class-conditional feature vectors.  Class 0 plays
 the "background" role; classes 1 and 2 are deliberately placed close to each
-other (default centre distance 1 versus 3 to class 0), so the tasks that
+other (centre distance 1 versus 3 to class 0), so the tasks that
 separate class 1 from class 2 are genuinely harder than the rest.  Subjects
 own a fixed number of samples (default 2) sharing one subject_id, and the
 train/validation/test split is made at the subject level with no overlap.
@@ -155,7 +155,7 @@ class Samples:
 def default_means(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class means with ||mu1 - mu2|| = 1 and ||mu0 - mu1|| = ||mu0 - mu2|| = 3."""
     if dim < 2:
-        raise ValueError("need dimension >= 2 for the default mean layout")
+        raise ValueError("need dimension >= 2 for the class mean layout")
     mu0 = np.zeros(dim)
     mu1 = np.zeros(dim)
     mu2 = np.zeros(dim)
@@ -167,42 +167,15 @@ def default_means(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Gaussian mixture source: three class means, shared isotropic scale, seed."""
+    """Gaussian mixture source: dimension and seed; the class means are ``default_means``."""
 
     dim: int = 16
-    mu0: np.ndarray | None = None
-    mu1: np.ndarray | None = None
-    mu2: np.ndarray | None = None
-    sigma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        check_types(self, reals=("sigma",), integers=("dim", "seed"))
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        given = (self.mu0, self.mu1, self.mu2)
-        defaults = default_means(self.dim) if any(m is None for m in given) else None
-        means = []
-        for i, mu in enumerate((self.mu0, self.mu1, self.mu2)):
-            mu = np.asarray(mu, dtype=np.float64) if mu is not None else defaults[i]
-            if mu.shape != (self.dim,):
-                raise ValueError(f"mu{i} has shape {mu.shape}, expected ({self.dim},)")
-            if not np.all(np.isfinite(mu)):
-                raise ValueError(f"mu{i} must be finite")
-            means.append(mu)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if np.array_equal(means[i], means[j]):
-                    raise ValueError(f"class means {i} and {j} coincide")
-        object.__setattr__(self, "mu0", means[0])
-        object.__setattr__(self, "mu1", means[1])
-        object.__setattr__(self, "mu2", means[2])
-
-    @property
-    def means(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.mu0, self.mu1, self.mu2
+        check_types(self, integers=("dim", "seed"))
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2 for the class mean layout, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -259,13 +232,14 @@ def generate_source(
     """Draw a subject-disjoint three-way split of Gaussian class-conditional samples.
 
     Each sample independently draws a class uniformly from {0, 1, 2} and
-    features from N(mean_class, sigma^2 I).  Deterministic given config.seed.
+    features from N(mean_class, I), the means of ``default_means``.
+    Deterministic given config.seed.
     """
     if samples_per_subject < 1:
         raise ValueError(f"samples_per_subject must be >= 1, got {samples_per_subject}")
     counts = split_subject_counts(n_subjects)
     rng = np.random.default_rng(config.seed)
-    means = config.means
+    means = default_means(config.dim)
     splits = []
     first_subject = 0
     for count in counts:
@@ -275,7 +249,7 @@ def generate_source(
         for i in range(n):  # per sample: its class, then its features
             cls = int(rng.integers(3))
             classes[i] = cls
-            features[i] = means[cls] + config.sigma * rng.standard_normal(config.dim)
+            features[i] = means[cls] + rng.standard_normal(config.dim)
         subjects = np.repeat(np.arange(first_subject, first_subject + count), samples_per_subject)
         splits.append(Samples(features, classes, subjects))
         first_subject += count

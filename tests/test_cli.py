@@ -421,15 +421,23 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_commands():
-    """Every `curmeta ...` line of the README's code blocks, shell variables filled in."""
+    """Every `curmeta ...` line of the README's code blocks, once per value of
+    its block's shell loop (``for s in a b; do``) substituted for the loop variable."""
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
-    lines = [line.strip() for block in blocks for line in block.splitlines()]
-    return [re.sub(r"\$\w+", "cl", line) for line in lines if line.startswith("curmeta ")]
+    commands = []
+    for block in blocks:
+        lines = [line.strip() for line in block.splitlines() if line.strip().startswith("curmeta ")]
+        loop = re.search(r"^for (\w+) in ([^;]+); do", block, flags=re.M)
+        if loop:
+            lines = [line.replace(f"${loop[1]}", value) for line in lines for value in loop[2].split()]
+        commands += lines
+    return commands
 
 
 def test_readme_commands_parse():
     commands = readme_commands()
     assert len(commands) >= 8
+    assert not [line for line in commands if "$" in line]  # every shell variable filled in
     parser = build_parser()
     for line in commands:
         argv = shlex.split(line, comments=True)[1:]

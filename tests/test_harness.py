@@ -143,9 +143,12 @@ def test_run_pipeline_rejects_bad_settings_naming_them(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "generate_source", lambda *args: generated.append(args))
     for name, value in [
         ("n_subjects", 30.0),
-        ("mt_rate", float("nan")),
         ("data_seed", 1.5),
         ("fine_tune", {"epochs": 2}),
+        ("hidden", 0),
+        ("mt_iterations", -3),
+        ("run_seed", -1),
+        ("data_seed", -1),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_pipeline(QUICK_META, tmp_path, **{name: value})
@@ -243,8 +246,10 @@ def test_experiment_plan_validation():
         ("hidden", True),
         ("mt_iterations", None),
         ("repetitions", 1.0),
-        ("mt_rate", "x"),
-        ("mt_rate", float("nan")),
+        ("hidden", 0),
+        ("data_seed", -1),
+        ("run_seed", -1),
+        ("mt_iterations", -3),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ExperimentPlan((v,), **{name: value})
@@ -404,7 +409,6 @@ def test_run_sweep_run_dirs_equal_run_pipeline(tmp_path):
                 hidden=6,
                 n_subjects=30,
                 mt_iterations=3,
-                mt_rate=plan.mt_rate,
             )
             swept = tree_files(tmp_path / "sweep" / "runs" / v.label / f"rep{rep}")
             assert "checkpoint.json" in swept

@@ -103,6 +103,8 @@ def test_meta_config_validation():
         MetaConfig(meta_batch_size=0)
     with pytest.raises(ValueError):
         MetaConfig(sampler="greedy")
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        MetaConfig(seed=-1)
 
 
 def test_fine_tune_config_validation():
@@ -706,7 +708,7 @@ def test_fine_tune_lockstep_validates_models(small_arch, small_data):
 def test_multitask_single_task_pool_is_plain_sgd(small_arch, small_data):
     lr, iters, bs, seed = 0.05, 6, 4, 13
     model = multitask_train(
-        small_arch, [K5], small_data, learning_rate=lr, iterations=iters, batch_size=bs, rng=seed
+        small_arch, [K5], small_data, learning_rate=lr, iterations=iters, rng=seed
     )
 
     rng = np.random.default_rng(seed)
@@ -738,14 +740,32 @@ def test_multitask_validates_pool(small_arch, small_data):
 
 
 def test_multitask_target_head_selected(small_arch, small_data):
+    # K5 is second in the pool, so its head is the second one drawn, not init_params'
     from curmeta.tasks import K1
 
-    a = multitask_train(small_arch, list(TASKS), small_data, 0.05, 3, rng=5)
-    b = multitask_train(small_arch, list(TASKS), small_data, 0.05, 3, rng=5, target_task=K1)
+    lr, iters, bs, seed = 0.05, 3, 4, 5
+    model = multitask_train(small_arch, [K1, K5], small_data, lr, iters, rng=seed)
+
+    rng = np.random.default_rng(seed)
     head_len = (small_arch.layer_widths[-2] + 1) * small_arch.layer_widths[-1]
     trunk_len = small_arch.param_count - head_len
-    assert np.array_equal(a.params[:trunk_len], b.params[:trunk_len])
-    assert not np.array_equal(a.params[trunk_len:], b.params[trunk_len:])
+    first = init_params(small_arch, rng)
+    trunk = first[:trunk_len]
+    scale = 1.0 / np.sqrt(small_arch.layer_widths[-2])
+    heads = {"K1": first[trunk_len:], "K5": rng.uniform(-scale, scale, size=head_len)}
+    for _ in range(iters):
+        trunk_grad = np.zeros(trunk_len)
+        for task in (K1, K5):
+            full = map_labels(task, small_data.train)
+            n = len(full)
+            idx = rng.choice(n, size=min(bs, n), replace=n < bs)
+            mini = Batch(full.inputs[idx], full.labels[idx])
+            g = grad(small_arch, np.concatenate([trunk, heads[task.id]]), mini)
+            trunk_grad += g[:trunk_len]
+            heads[task.id] = heads[task.id] - lr * g[trunk_len:]
+        trunk = trunk - lr * trunk_grad
+    assert np.array_equal(model.params, np.concatenate([trunk, heads["K5"]]))
+    assert not np.array_equal(model.params[trunk_len:], heads["K1"])
 
 
 # ---------------------------------------------------------- learning curves

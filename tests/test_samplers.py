@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curmeta.samplers import (
+    BUFFER_CAPACITY,
     AllTaskBatchError,
     OutcomeRecord,
     SamplerKind,
@@ -39,11 +40,6 @@ def test_sampler_kind_values():
     assert SamplerKind("cl") is SamplerKind.CL
     with pytest.raises(ValueError):
         SamplerKind("greedy")
-
-
-def test_state_validates_capacity():
-    with pytest.raises(ValueError):
-        SamplerState("cl", capacity=0)
 
 
 # ------------------------------------------------------------------- alltask
@@ -222,7 +218,7 @@ def test_record_outcome_tracks_tasks_independently():
 
 
 def test_buffer_capacity_evicts_oldest():
-    state = SamplerState("mab", capacity=10)
+    state = SamplerState("mab")
     for i in range(15):
         record_outcome(state, POOL[0], 0.0, (i + 1) / 100.0)
     buf = list(state.buffers["K1"])
@@ -290,4 +286,4 @@ def test_buffers_stay_bounded_and_selections_stay_in_pool(kind, seed, steps):
         assert -1.0 <= rec.observation <= 1.0
         assert -2.0 <= rec.reward <= 2.0
     for buf in state.buffers.values():
-        assert len(buf) <= state.capacity
+        assert len(buf) <= BUFFER_CAPACITY
