@@ -6,7 +6,18 @@ four task samplers, the meta-training and fine-tuning loops, and an
 experiment harness with a command line interface.
 """
 
-from .nets import Architecture, Batch, batch_loss, forward, grad, hessian_vector_product, init_params, softmax
+from .nets import (
+    Architecture,
+    Batch,
+    backward,
+    batch_loss,
+    forward,
+    grad,
+    hessian_vector_product,
+    init_params,
+    softmax,
+    trace,
+)
 from .metrics import DegenerateAucError, compute_auc
 from .tasks import (
     K1,

@@ -119,6 +119,8 @@ def cmd_generate(args) -> int:
 
 def cmd_meta_train(args) -> int:
     config = build_meta_config(args)
+    if args.hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {args.hidden}")
     data = load_data(args)
     arch = default_architecture(data.train.features.shape[1], args.hidden)
     model, log = meta_train(arch, config, data)

@@ -129,22 +129,50 @@ class TrainedModel:
 
 
 class NetLoss:
-    """Cross-entropy objective of a net, exposed as grad/Hessian-vector callables.
+    """Cross-entropy objective of a net, in the traced form the meta machinery runs on.
 
-    Anything with this interface can drive the adaptation and meta-gradient
-    machinery; tests use closed-form objectives the same way.  ``grad`` must
-    also take params with a leading episode axis (see ``meta_gradient``) and
-    return a fresh array, which the adaptation steps overwrite.
+    ``trace`` runs the forward pass at params with or without a leading
+    episode axis (see ``meta_gradient``); ``grad`` is the backward pass over
+    a trace and returns a fresh array, which the adaptation steps overwrite;
+    ``hvp(trace, b, v)`` is the Hessian-vector product at episode b of a
+    stacked trace, with no forward pass of its own.  Any other object with
+    ``grad(params, batch)`` and ``hvp(params, batch, v)`` drives the same
+    machinery through ``_Untraced``, as the tests' closed-form objectives do.
     """
 
     def __init__(self, arch: Architecture):
         self.arch = arch
 
-    def grad(self, params: ParamVector, batch: Batch) -> ParamVector:
-        return nets.grad(self.arch, params, batch)
+    def trace(self, params: ParamVector, batch: Batch) -> nets.Trace:
+        return nets.trace(self.arch, params, batch)
 
-    def hvp(self, params: ParamVector, batch: Batch, v: ParamVector) -> ParamVector:
-        return nets.hessian_vector_product(self.arch, params, batch, v)
+    def grad(self, trace: nets.Trace) -> ParamVector:
+        return nets.backward(trace)
+
+    def hvp(self, trace: nets.Trace, b: int, v: ParamVector) -> ParamVector:
+        return nets.hessian_vector_product(trace.row(b), v)
+
+
+class _Untraced:
+    """A ``grad(params, batch)`` / ``hvp(params, batch, v)`` objective in ``NetLoss``'s
+    traced form: its trace is the (params, batch) pair it was taken at."""
+
+    def __init__(self, objective):
+        self.objective = objective
+
+    def trace(self, params, batch):
+        return params, batch
+
+    def grad(self, trace):
+        return self.objective.grad(*trace)
+
+    def hvp(self, trace, b, v):
+        params, batch = trace
+        return self.objective.hvp(params[b], _unstack(batch)[b], v)
+
+
+def _traced(objective):
+    return objective if isinstance(objective, NetLoss) else _Untraced(objective)
 
 
 def _buffer(steps, shape):
@@ -154,29 +182,31 @@ def _buffer(steps, shape):
     return np.empty((steps,) + shape)
 
 
-def _unroll(objective, trajectory, support, alpha):
-    """Adapt on the support loss: trajectory[k] becomes theta_{k+1}.
+def _unroll(objective, theta, trajectory, support, alpha):
+    """Adapt ``theta`` (theta_0) on the support loss: trajectory[k] becomes theta_{k+1}.
 
-    On entry theta_0 waits in the last slot, which only the last step
-    overwrites, so the buffer needs one theta per step.  theta_{k+1} = theta_k - alpha *
-    g(theta_k) is computed in the buffer of the gradient ``objective.grad``
-    returns, which must be a fresh array.
+    Returns the trace of every step, at theta_0, ..., theta_{K-1}.  theta_0
+    stays where it is, outside the buffer, so the trace of step 0 keeps
+    views of it.  theta_{k+1} = theta_k - alpha * g(theta_k) is computed in
+    the buffer of the gradient ``objective.grad`` returns, which must be a
+    fresh array.
     """
-    theta = trajectory[-1]
+    traces = []
     for k in range(len(trajectory)):
-        g = objective.grad(theta, support)
+        traces.append(objective.trace(theta, support))
+        g = objective.grad(traces[-1])
         np.multiply(g, alpha, out=g)
         theta = np.subtract(theta, g, out=trajectory[k])
         del g  # freed before the next gradient is computed
-    return trajectory
+    return traces
 
 
 def inner_adapt(objective, params: ParamVector, support: Batch, alpha: float, steps: int) -> ParamVector:
     """``steps`` full-batch gradient steps on the support loss; input untouched."""
     params = np.asarray(params, dtype=np.float64)
     trajectory = _buffer(steps, params.shape)
-    trajectory[-1] = params
-    return _unroll(objective, trajectory, support, alpha)[-1]
+    _unroll(_traced(objective), params, trajectory, support, alpha)
+    return trajectory[-1]
 
 
 def _stack(batches):
@@ -199,26 +229,26 @@ def _meta_gradients(objective, params, counts, trajectory, support, query, alpha
 
     Group g starts from ``params[g]`` and owns the next ``counts[g]``
     episodes; ``support`` and ``query`` are the episodes' batches stacked by
-    ``_stack``.  The unroll (into ``trajectory``, a ``_buffer`` with one row
-    per episode) and the query gradient run once for all episodes, and
-    trajectory[-1] ends up holding the adapted params.  The reverse sweep
-    runs per episode, through theta_{k+1} = theta_k - alpha * g(theta_k):
-    v <- (I - alpha * H(theta_k)) v at every inner step.  Each group sums
-    its episodes' gradients in order.
+    ``_stack`` and ``objective`` is in traced form (``_traced``).  The
+    unroll (into ``trajectory``, a ``_buffer`` with one row per episode) and
+    the query gradient run once for all episodes, and trajectory[-1] ends up
+    holding the adapted params.  The reverse sweep runs per episode, through
+    theta_{k+1} = theta_k - alpha * g(theta_k): v <- (I - alpha * H(theta_k)) v
+    at every inner step, on the unroll's own trace of that step.  Each group
+    sums its episodes' gradients in order.  Returns the sums and the query
+    trace.
     """
     mode = GradientMode(mode)
     group = np.repeat(np.arange(len(counts)), counts)
-    trajectory[-1] = params[group]
-    _unroll(objective, trajectory, support, alpha)
-    query_grads = objective.grad(trajectory[-1], query)
+    traces = _unroll(objective, params[group], trajectory, support, alpha)
+    query_trace = objective.trace(trajectory[-1], query)
     totals = np.zeros(params.shape)
-    for b, (batch, v) in enumerate(zip(_unstack(support), query_grads)):
+    for b, v in enumerate(objective.grad(query_trace)):
         if mode is GradientMode.SECOND:
-            # theta_{K-1}, ..., theta_1 from the buffer, then theta_0
-            for theta in (*trajectory[-2::-1, b], params[group[b]]):
-                v = v - alpha * objective.hvp(theta, batch, v)
+            for trace in reversed(traces):  # theta_{K-1}, ..., theta_0
+                v = v - alpha * objective.hvp(trace, b, v)
         totals[group[b]] += v
-    return totals
+    return totals, query_trace
 
 
 def meta_gradient(
@@ -243,9 +273,10 @@ def meta_gradient(
     query = _stack(ep.query for ep in episodes)
     params = np.asarray(params, dtype=np.float64)
     trajectory = _buffer(steps, (len(episodes),) + params.shape)
-    return _meta_gradients(
-        objective, params[None, :], [len(episodes)], trajectory, support, query, alpha, mode
-    )[0]
+    totals, _ = _meta_gradients(
+        _traced(objective), params[None, :], [len(episodes)], trajectory, support, query, alpha, mode
+    )
+    return totals[0]
 
 
 def positive_probability(arch: Architecture, params: ParamVector, inputs) -> np.ndarray:
@@ -501,8 +532,10 @@ def _meta_train_lockstep(arch, configs, data, task_pool, samplers) -> list:
         del episodes  # the stacks hold copies of their arrays
         # each config's params repeated over its episodes' rows
         prob_before = positive_probability(arch, np.repeat(params, counts, axis=0), query.inputs)
-        totals = _meta_gradients(objective, params, counts, trajectory, support, query, alpha, mode)
-        prob_after = positive_probability(arch, trajectory[-1], query.inputs)
+        totals, query_trace = _meta_gradients(
+            objective, params, counts, trajectory, support, query, alpha, mode
+        )
+        prob_after = query_trace.probs[..., 1]  # the adapted params' class-1 softmax
         auc_before = compute_auc(prob_before, query.labels).tolist()
         auc_after = compute_auc(prob_after, query.labels).tolist()
         norms = [float(np.linalg.norm(total)) for total in totals]

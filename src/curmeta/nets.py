@@ -12,6 +12,15 @@ its own parameter row on its own batch, and the result has a leading axis of
 B.  Row b of a stacked call carries the same bits as the plain call on
 episode b alone, so a meta-batch can be evaluated in one call without
 changing any number.
+
+``trace`` runs the checks and the forward pass once and keeps what the
+derivatives need: the layers' weights, the activations and activation
+derivatives, the softmax and the logit delta.  ``backward`` is the gradient
+over a trace (``grad`` is ``backward(trace(...))``), and
+``hessian_vector_product`` runs only the tangent sweeps over the trace of
+one episode, so a caller that has traced a point already pays for no second
+forward pass there.  ``Trace.row(b)`` is episode b of a stacked trace, with
+the same bits as the trace of episode b alone.
 """
 
 from __future__ import annotations
@@ -261,50 +270,95 @@ def batch_loss(arch: Architecture, params: ParamVector, batch: Batch) -> float:
     return cross_entropy(forward(arch, params, batch.inputs), batch.labels)
 
 
+@dataclass(frozen=True)
+class Trace:
+    """The forward pass of a net at params on a batch, kept for its derivatives.
+
+    ``weights`` are views into the params (one per layer), ``acts`` the
+    inputs a_0 .. a_{L-1} of the layers, ``derivs`` the activation
+    derivatives of the hidden layers, ``probs`` the softmax of the logits
+    and ``delta`` the gradient of the mean cross-entropy w.r.t. the logits.
+    A stacked trace carries a leading episode axis on every array.
+    """
+
+    arch: Architecture
+    weights: list
+    acts: list
+    derivs: list
+    probs: np.ndarray
+    delta: np.ndarray
+
+    def row(self, b: int) -> "Trace":
+        """Episode b of a stacked trace: the trace of that episode alone, bit for bit."""
+        return _trusted(
+            Trace,
+            self.arch,
+            [w[b] for w in self.weights],
+            [a[b] for a in self.acts],
+            [d[b] for d in self.derivs],
+            self.probs[b],
+            self.delta[b],
+        )
+
+
+def trace(arch: Architecture, params: ParamVector, batch: Batch) -> Trace:
+    """Check the inputs and run the forward pass of the batch cross-entropy at ``params``.
+
+    Stacked params (B, P) and a stacked batch give a stacked trace.
+    """
+    params = _check_params(arch, params)
+    inputs = _check_inputs(arch, params, batch.inputs)
+    layers, acts, zs = _forward_trace(arch, params, inputs)
+    derivs = [_activation_deriv(arch, z, a) for z, a in zip(zs, acts[1:])]
+    probs = softmax(zs[-1])
+    delta = _logit_delta(probs, batch.labels)
+    return _trusted(Trace, arch, [w for w, _ in layers], acts, derivs, probs, delta)
+
+
+def backward(tr: Trace) -> ParamVector:
+    """Exact reverse-mode gradient of the traced batch cross-entropy w.r.t. params.
+
+    A stacked trace gives a (B, P) result whose row b is the gradient of
+    episode b's own mean loss.
+    """
+    delta = tr.delta
+    flat = delta.shape[:-2] + (-1,)
+    grads = []  # per layer gb then gw, output layer first
+    for i in range(len(tr.weights) - 1, -1, -1):
+        grads.append(delta.sum(axis=-2))
+        grads.append((tr.acts[i].swapaxes(-1, -2) @ delta).reshape(flat))
+        if i > 0:
+            delta = (delta @ tr.weights[i].swapaxes(-1, -2)) * tr.derivs[i - 1]
+    return np.concatenate(grads[::-1], axis=-1)
+
+
 def grad(arch: Architecture, params: ParamVector, batch: Batch) -> ParamVector:
     """Exact reverse-mode gradient of the batch cross-entropy w.r.t. params.
 
     Stacked params (B, P) and a stacked batch give a (B, P) result whose row b
     is the gradient of episode b's own mean loss.
     """
-    params = _check_params(arch, params)
-    inputs = _check_inputs(arch, params, batch.inputs)
-    layers, acts, zs = _forward_trace(arch, params, inputs)
-    delta = _logit_delta(softmax(zs[-1]), batch.labels)
-
-    flat = params.shape[:-1] + (-1,)
-    grads = []  # per layer gb then gw, output layer first
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads.append(delta.sum(axis=-2))
-        grads.append((acts[i].swapaxes(-1, -2) @ delta).reshape(flat))
-        if i > 0:
-            d = _activation_deriv(arch, zs[i - 1], acts[i])
-            delta = (delta @ w.swapaxes(-1, -2)) * d
-    return np.concatenate(grads[::-1], axis=-1)
+    return backward(trace(arch, params, batch))
 
 
-def hessian_vector_product(
-    arch: Architecture, params: ParamVector, batch: Batch, v: ParamVector
-) -> ParamVector:
-    """Exact H @ v for the Hessian H of the batch cross-entropy at ``params``.
+def hessian_vector_product(tr: Trace, v: ParamVector) -> ParamVector:
+    """Exact H @ v for the Hessian H of the traced batch cross-entropy.
 
-    Forward-over-reverse: a tangent in direction ``v`` is propagated through
-    the forward pass and then through backprop, which differentiates the
+    Forward-over-reverse on the trace of one episode (``Trace.row`` of a
+    stacked one): a tangent in direction ``v`` is propagated through the
+    forward pass and then through backprop, which differentiates the
     gradient computation itself (no finite differencing anywhere).
     """
-    params = _check_params(arch, params)
-    if params.ndim != 1:
-        raise ValueError(f"parameter vector has shape {params.shape}, need ({arch.param_count},)")
-    inputs = _check_inputs(arch, params, batch.inputs)
+    arch, weights, acts, derivs = tr.arch, tr.weights, tr.acts, tr.derivs
+    if tr.probs.ndim != 2:
+        raise ValueError(
+            f"need the trace of one episode, got a stacked trace of {tr.probs.shape[0]} episodes"
+        )
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (arch.param_count,):
         raise ValueError(f"direction vector has shape {v.shape}, need ({arch.param_count},)")
-    layers, acts, zs = _forward_trace(arch, params, inputs)
     vlayers = _unpack(arch, v)
-    n_layers = len(layers)
-    # derivs[i] is the activation derivative at hidden layer i + 1
-    derivs = [_activation_deriv(arch, z, a) for z, a in zip(zs, acts[1:])]
+    n_layers = len(weights)
 
     # Tangent forward pass: r_acts[i] is the directional derivative of acts[i].
     # The inputs do not depend on the params, so r_acts[0] is zero and is left
@@ -313,20 +367,19 @@ def hessian_vector_product(
     rz = acts[0] @ vlayers[0][0] + vlayers[0][1]
     for i in range(1, n_layers):
         r_acts.append(derivs[i - 1] * rz)
-        (w, _), (vw, vb) = layers[i], vlayers[i]
-        rz = r_acts[i] @ w + acts[i] @ vw + vb
+        vw, vb = vlayers[i]
+        rz = r_acts[i] @ weights[i] + acts[i] @ vw + vb
 
-    p = softmax(zs[-1])
+    p = tr.probs
     rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
-    n = inputs.shape[0]
-    delta = _logit_delta(p, batch.labels)
-    r_delta = rp / n
+    delta = tr.delta
+    r_delta = rp / p.shape[0]
 
     hv = []  # per layer r_gb then r_gw, output layer first
     for i in range(n_layers - 1, 0, -1):
         hv.append(r_delta.sum(axis=0))
         hv.append((r_acts[i].T @ delta + acts[i].T @ r_delta).ravel())
-        w, _ = layers[i]
+        w = weights[i]
         vw, _ = vlayers[i]
         d = derivs[i - 1]
         r_s = r_delta @ w.T + delta @ vw.T

@@ -176,6 +176,8 @@ class SourceConfig:
         check_types(self, integers=("dim", "seed"))
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2 for the class mean layout, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,10 @@ def sample_episode(
 def derive_stream(seed: int, worker: int) -> np.random.Generator:
     """RNG stream for a worker: master seed plus 1000 per worker.  Streams of
     different seeds overlap: ``derive_stream(1000, 0)`` is ``derive_stream(0, 1)``
-    (ROADMAP, Known defects: "Seed streams overlap")."""
+    (ROADMAP, Known defects: "Seed streams overlap").  A negative seed would
+    land on another seed's stream, so it is rejected."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed + 1000 * worker)
 
 

@@ -260,7 +260,8 @@ def reference_meta_train(arch, config, data, pool):
             v = nets.grad(arch, trajectory[-1], ep.query)
             if config.gradient_mode.value == "second":
                 for theta in reversed(trajectory[:-1]):
-                    v = v - alpha * nets.hessian_vector_product(arch, theta, ep.support, v)
+                    tr = nets.trace(arch, theta, ep.support)
+                    v = v - alpha * nets.hessian_vector_product(tr, v)
             total += v
             before.append(query_auc(params, ep))
             after.append(query_auc(trajectory[-1], ep))
@@ -277,6 +278,56 @@ def reference_meta_train(arch, config, data, pool):
             )
         )
     return params, rows
+
+
+def reference_hvp(arch, params, batch, v):
+    """H @ v of the batch cross-entropy at 1-D ``params``, forward pass included.
+
+    The library's 2-D ``hessian_vector_product`` as it was before it took a
+    trace, kept operation for operation so that the traced one must match
+    it bit for bit.
+    """
+    from curmeta import nets
+
+    layers = arch.unpack(params)
+    vlayers = arch.unpack(v)
+    relu = arch.activation == "relu"
+    acts, zs, a = [batch.inputs], [], batch.inputs
+    for i, (w, b) in enumerate(layers):
+        zs.append(a @ w + b)
+        if i < len(layers) - 1:
+            a = np.maximum(zs[-1], 0.0) if relu else np.tanh(zs[-1])
+            acts.append(a)
+    derivs = [z > 0.0 if relu else 1.0 - a * a for z, a in zip(zs, acts[1:])]
+
+    r_acts = [None]
+    rz = acts[0] @ vlayers[0][0] + vlayers[0][1]
+    for i in range(1, len(layers)):
+        r_acts.append(derivs[i - 1] * rz)
+        rz = r_acts[i] @ layers[i][0] + acts[i] @ vlayers[i][0] + vlayers[i][1]
+
+    p = nets.softmax(zs[-1])
+    rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
+    n = batch.inputs.shape[0]
+    delta = (p - (batch.labels[:, None] == np.arange(p.shape[1]))) / n
+    r_delta = rp / n
+
+    hv = []
+    for i in range(len(layers) - 1, 0, -1):
+        hv.append(r_delta.sum(axis=0))
+        hv.append((r_acts[i].T @ delta + acts[i].T @ r_delta).ravel())
+        w, vw, d = layers[i][0], vlayers[i][0], derivs[i - 1]
+        new_r_delta = (r_delta @ w.T + delta @ vw.T) * d
+        if i > 1 or not relu:
+            s = delta @ w.T
+            if not relu:
+                new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
+            if i > 1:
+                delta = s * d
+        r_delta = new_r_delta
+    hv.append(r_delta.sum(axis=0))
+    hv.append((acts[0].T @ r_delta).ravel())
+    return np.concatenate(hv[::-1])
 
 
 def reference_fine_tune(arch, params, train, val, config, seed):

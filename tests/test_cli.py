@@ -346,6 +346,26 @@ def test_meta_train_rejects_splits_of_unequal_width(tmp_path, data_dir, capsys):
     assert err == "[meta-train] the test split has 8 features, the train split has 4\n"
 
 
+def test_negative_seeds_fail_naming_seed(tmp_path, data_dir, trained_dir, capsys):
+    rc = main(["generate", "--out", str(tmp_path / "gen"), "--data-seed", "-1", "--n-subjects", "20"])
+    assert rc == 1
+    assert capsys.readouterr().err == "[generate] seed must be >= 0, got -1\n"
+    out = tmp_path / "ft"
+    argv = ["fine-tune", "--out", str(out), "--checkpoint", str(trained_dir / "checkpoint.json")]
+    rc = main([*argv, "--data", str(data_dir), "--epochs", "1", "--seed", "-1000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "[fine-tune] seed must be >= 0, got -1000\n"
+    assert not out.exists()
+
+
+def test_meta_train_rejects_zero_hidden_before_loading_data(tmp_path, capsys):
+    missing = tmp_path / "no-data"  # loading it would fail with another message
+    rc = main(["meta-train", "--out", str(tmp_path / "out"), "--data", str(missing), "--hidden", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "[meta-train] hidden must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- curves
 
 

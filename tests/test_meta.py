@@ -359,12 +359,18 @@ def test_meta_train_returns_model_and_full_log(small_arch, small_data):
     assert model.provenance.config["meta_updates"] == 3
 
 
-@pytest.mark.parametrize("mode, sampler", [("second", "cl"), ("first", "mab")])
-def test_meta_train_matches_per_episode_reference(small_arch, small_data, mode, sampler):
+@pytest.mark.parametrize(
+    "mode, sampler, steps",
+    [("second", "cl", 3), ("first", "mab", 3), ("second", "cl", 1)],
+    ids=["second-cl", "first-mab", "second-cl-one-step"],
+)
+def test_meta_train_matches_per_episode_reference(small_arch, small_data, mode, sampler, steps):
     cfg = quick_config(
-        meta_updates=8, inner_steps=3, meta_batch_size=3, gradient_mode=mode, sampler=sampler, seed=6
+        meta_updates=8, inner_steps=steps, meta_batch_size=3, gradient_mode=mode, sampler=sampler, seed=6
     )
-    # the first five updates fill the pool's buffers; the last three draw from them
+    # the first five updates fill the pool's buffers; the last three draw from them.
+    # With one step the trajectory has one slot, and the step writes theta_1
+    # there while the reverse sweep still needs the trace at theta_0.
     model, log = meta_train(small_arch, cfg, small_data)
     params, rows = reference_meta_train(small_arch, cfg, small_data, list(TASKS))
     assert np.array_equal(model.params, params)

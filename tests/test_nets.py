@@ -9,6 +9,7 @@ from curmeta.nets import (
     ACTIVATIONS,
     Architecture,
     Batch,
+    backward,
     batch_loss,
     cross_entropy,
     forward,
@@ -16,8 +17,9 @@ from curmeta.nets import (
     hessian_vector_product,
     init_params,
     softmax,
+    trace,
 )
-from oracles import central_fd, max_rel_error
+from oracles import central_fd, max_rel_error, reference_hvp
 
 
 def tiny_batch(rng, n, dim):
@@ -305,7 +307,7 @@ def test_hvp_matches_fd_of_gradient():
     params = init_params(arch, rng)
     batch = tiny_batch(rng, 6, 2)
     v = rng.normal(size=arch.param_count)
-    hv = hessian_vector_product(arch, params, batch, v)
+    hv = hessian_vector_product(trace(arch, params, batch), v)
     h = 1e-6
     fd = (grad(arch, params + h * v, batch) - grad(arch, params - h * v, batch)) / (2 * h)
     assert max_rel_error(hv, fd, floor=1e-6) < 1e-4
@@ -319,7 +321,7 @@ def test_hvp_matches_fd_of_gradient_relu():
     params = init_params(arch, rng)
     batch = tiny_batch(rng, 8, 2)
     v = rng.normal(size=arch.param_count)
-    hv = hessian_vector_product(arch, params, batch, v)
+    hv = hessian_vector_product(trace(arch, params, batch), v)
     h = 1e-6
     fd = (grad(arch, params + h * v, batch) - grad(arch, params - h * v, batch)) / (2 * h)
     assert max_rel_error(hv, fd, floor=1e-6) < 1e-4
@@ -331,9 +333,10 @@ def test_hvp_linear_in_direction(rng):
     batch = tiny_batch(rng, 5, 3)
     u = rng.normal(size=arch.param_count)
     v = rng.normal(size=arch.param_count)
-    hu = hessian_vector_product(arch, params, batch, u)
-    hv = hessian_vector_product(arch, params, batch, v)
-    combo = hessian_vector_product(arch, params, batch, 2.0 * u - 0.5 * v)
+    tr = trace(arch, params, batch)
+    hu = hessian_vector_product(tr, u)
+    hv = hessian_vector_product(tr, v)
+    combo = hessian_vector_product(tr, 2.0 * u - 0.5 * v)
     assert np.allclose(combo, 2.0 * hu - 0.5 * hv, atol=1e-10)
 
 
@@ -343,8 +346,9 @@ def test_hvp_symmetry(rng):
     batch = tiny_batch(rng, 6, 3)
     u = rng.normal(size=arch.param_count)
     v = rng.normal(size=arch.param_count)
-    left = u @ hessian_vector_product(arch, params, batch, v)
-    right = v @ hessian_vector_product(arch, params, batch, u)
+    tr = trace(arch, params, batch)
+    left = u @ hessian_vector_product(tr, v)
+    right = v @ hessian_vector_product(tr, u)
     assert np.isclose(left, right, atol=1e-10)
 
 
@@ -352,7 +356,7 @@ def test_hvp_zero_direction(rng):
     arch = Architecture((3, 4, 2))
     params = init_params(arch, rng)
     batch = tiny_batch(rng, 4, 3)
-    hv = hessian_vector_product(arch, params, batch, np.zeros(arch.param_count))
+    hv = hessian_vector_product(trace(arch, params, batch), np.zeros(arch.param_count))
     assert np.array_equal(hv, np.zeros(arch.param_count))
 
 
@@ -361,7 +365,38 @@ def test_hvp_rejects_bad_direction_shape(rng):
     params = init_params(arch, rng)
     batch = tiny_batch(rng, 4, 3)
     with pytest.raises(ValueError):
-        hessian_vector_product(arch, params, batch, np.zeros(arch.param_count + 2))
+        hessian_vector_product(trace(arch, params, batch), np.zeros(arch.param_count + 2))
+
+
+@pytest.mark.parametrize("widths", [(5, 7, 2), (5, 7, 3, 2)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_hvp_on_a_stacked_trace_row_equals_the_untraced_reference(widths, activation, n):
+    rng = np.random.default_rng(7 * n + len(widths))
+    arch = Architecture(widths, activation=activation)
+    params = np.stack([init_params(arch, rng) for _ in range(3)])
+    batches = [tiny_batch(rng, n, widths[0]) for _ in range(3)]
+    stacked = trace(arch, params, Batch.stack(batches))
+    for b, batch in enumerate(batches):
+        row, alone = stacked.row(b), trace(arch, params[b], batch)
+        for got, want in zip(
+            [*row.weights, *row.acts, *row.derivs, row.probs, row.delta],
+            [*alone.weights, *alone.acts, *alone.derivs, alone.probs, alone.delta],
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        v = rng.normal(size=arch.param_count)
+        expected = reference_hvp(arch, params[b], batch, v)
+        assert np.array_equal(hessian_vector_product(row, v), expected)
+        assert np.array_equal(hessian_vector_product(alone, v), expected)
+
+
+def test_grad_is_the_backward_pass_of_the_trace(rng):
+    arch = Architecture((3, 4, 2), activation="tanh")
+    params = init_params(arch, rng)
+    batch = tiny_batch(rng, 5, 3)
+    tr = trace(arch, params, batch)
+    assert np.array_equal(backward(tr), grad(arch, params, batch))
+    assert np.array_equal(tr.probs, softmax(forward(arch, params, batch.inputs)))
 
 
 # ------------------------------------------------------------ episode axis
@@ -429,8 +464,8 @@ def test_episode_axes_must_agree(rng):
         forward(arch, params[0], stacked.inputs)
     with pytest.raises(ValueError, match="parameter vector"):
         grad(arch, np.zeros((2, 2, arch.param_count)), plain)
-    with pytest.raises(ValueError, match="parameter vector"):
-        hessian_vector_product(arch, params, stacked, params)
+    with pytest.raises(ValueError, match="trace of one episode"):
+        hessian_vector_product(trace(arch, params, Batch.stack([plain, plain])), params[0])
 
 
 # ------------------------------------------------------------ property based

@@ -105,6 +105,7 @@ def test_source_config_validation():
         ({"seed": True}, "seed"),
         ({"seed": "3"}, "seed"),
         ({"dim": 4.0}, "dim"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_source_config_rejects_bad_fields_naming_them(kwargs, field):
@@ -421,6 +422,13 @@ def test_derive_stream_deterministic_and_distinct():
     c = derive_stream(7, 2).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_derive_stream_rejects_negative_seeds():
+    # -1000 + 1000 * 1 would be seed 0's stream of worker 0
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1000"):
+        derive_stream(-1000, 1)
+    assert np.array_equal(derive_stream(0, 1).random(3), derive_stream(1000, 0).random(3))
 
 
 # -------------------------------------------------------------------- files
