@@ -184,7 +184,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    log = RunLog.from_tsv(Path(args.log).read_text())
+    try:
+        log = RunLog.from_tsv(Path(args.log).read_text())
+    except ValueError as e:
+        raise ValueError(f"{args.log}: {e}") from e
     write_manifest(args.out, emit_curves(log, args.window), config={"window": args.window})
     print(f"wrote curves for {len(log.records)} meta-updates to {args.out}")
     return 0

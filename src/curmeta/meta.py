@@ -34,6 +34,7 @@ from .tasks import (
     SplitDataset,
     TASKS,
     TaskDefinition,
+    _cell,
     check_types,
     map_labels,
     sample_episode,
@@ -345,27 +346,36 @@ class RunLog:
 
     @classmethod
     def from_tsv(cls, text: str) -> "RunLog":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "\t".join(LOG_COLUMNS):
+        """Parse ``to_tsv`` output; a bad cell fails as ``line N: <column> must be ...``."""
+        lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line]
+        if not lines or lines[0][1] != "\t".join(LOG_COLUMNS):
             raise ValueError("malformed run log: bad or missing header")
+
+        def floats(s):
+            return tuple(float(x) for x in s.split(",")) if s else ()
+
+        def cell(parts, i, parse, expected):
+            return _cell(parts[i], LOG_COLUMNS[i], parse, lambda _: True, expected)
+
         records = []
-        for ln, line in enumerate(lines[1:], start=2):
+        for ln, line in lines[1:]:
             parts = line.split("\t")
             if len(parts) != len(LOG_COLUMNS):
                 raise ValueError(f"malformed run log: line {ln} has {len(parts)} fields")
-            floats = lambda s: tuple(float(x) for x in s.split(",")) if s else ()
-            records.append(
-                MetaUpdateRecord(
-                    iteration=int(parts[0]),
+            try:
+                record = MetaUpdateRecord(
+                    iteration=cell(parts, 0, int, "an integer"),
                     sampler=parts[1],
                     tasks=tuple(parts[2].split(",")) if parts[2] else (),
-                    auc_before=floats(parts[3]),
-                    auc_after=floats(parts[4]),
-                    observations=floats(parts[5]),
-                    rewards=floats(parts[6]),
-                    grad_norm=float(parts[7]),
+                    auc_before=cell(parts, 3, floats, "comma-separated numbers"),
+                    auc_after=cell(parts, 4, floats, "comma-separated numbers"),
+                    observations=cell(parts, 5, floats, "comma-separated numbers"),
+                    rewards=cell(parts, 6, floats, "comma-separated numbers"),
+                    grad_norm=cell(parts, 7, float, "a number"),
                 )
-            )
+            except ValueError as e:
+                raise ValueError(f"malformed run log: line {ln}: {e}") from None
+            records.append(record)
         return cls(tuple(records))
 
     def content_hash(self) -> str:
@@ -598,8 +608,11 @@ def fine_tune(
 
     ``model`` may also be a sequence of models sharing one architecture.  They
     are then trained in lockstep on one mini-batch order: params with a
-    leading model axis (B, P), one stacked ``nets.grad`` call per step and one
-    stacked validation forward pass per epoch.  The result is a list whose
+    leading model axis (B, P) and one stacked validation forward pass per
+    epoch.  The layer views of the params and of one gradient buffer are
+    bound once (again when a model leaves the stack), so each step runs only
+    the stacked forward and backward passes (``nets._trace`` and
+    ``nets._backward``) and an in-place update.  The result is a list whose
     entry b equals ``fine_tune(model[b], ...)`` on the same seed bit for bit,
     or is the ``FloatingPointError`` that call would raise; such a model
     leaves the stack and the others carry on.  One model is a stack of one.
@@ -640,19 +653,27 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
     params = np.stack([m.params for m in models])
     best_params, best_auc = params.copy(), val_aucs(params)
     results = [None] * len(models)
+    onehot = nets._onehot(train.labels, arch.output_dim)
     n = len(train)
+
+    def bind(p):
+        """Layer views of the stacked params ``p``, and a gradient buffer with its views."""
+        g = np.empty_like(p)
+        return nets._unpack(arch, p), g, nets._unpack(arch, g)
+
+    layers, g, grads = bind(params)
     for _ in range(config.epochs):
         # the epoch's shuffled split, broadcast to every row; mini-batches are slices
         order = rng.permutation(n)
         inputs = np.broadcast_to(train.inputs[order], (len(rows),) + train.inputs.shape)
-        labels = np.broadcast_to(train.labels[order], (len(rows), n))
+        targets = np.broadcast_to(onehot[order], (len(rows),) + onehot.shape)
         for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
-            mini = _trusted(Batch, inputs[:, start:stop], labels[:, start:stop])
-            # params - learning_rate * g, computed in g's buffer
-            g = nets.grad(arch, params, mini)
+            tr = nets._trace(arch, layers, inputs[:, start:stop], targets[:, start:stop])
+            nets._backward(tr, grads)
+            # params -= learning_rate * g, in place: the bound views follow
             np.multiply(g, config.learning_rate, out=g)
-            params = np.subtract(params, g, out=g)
+            np.subtract(params, g, out=params)
         finite = np.all(np.isfinite(params), axis=1)
         if not finite.all():
             failed = {
@@ -664,6 +685,7 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
             )
             if not rows:
                 return results
+            layers, g, grads = bind(params)  # _leave_stack returned copies
         aucs = val_aucs(params)
         better = aucs > best_auc
         best_auc[better] = aucs[better]

@@ -21,6 +21,14 @@ over a trace (``grad`` is ``backward(trace(...))``), and
 one episode, so a caller that has traced a point already pays for no second
 forward pass there.  ``Trace.row(b)`` is episode b of a stacked trace, with
 the same bits as the trace of episode b alone.
+
+Under the public functions is one unchecked core.  ``_forward`` runs the
+forward pass over unpacked (W, b) layer views, and ``_trace`` adds the
+derivative terms given one-hot targets (``_onehot``); ``_backward`` writes
+the gradient into the layer views of a caller's buffer.  ``forward``,
+``trace``, ``backward`` and ``grad`` check and unpack at the boundary and
+call the core.  ``meta.fine_tune`` calls it directly: its views, targets and
+gradient buffer stay fixed for the whole SGD loop, so it binds them once.
 """
 
 from __future__ import annotations
@@ -205,25 +213,21 @@ def _activation_deriv(arch: Architecture, z: np.ndarray, a: np.ndarray) -> np.nd
     return 1.0 - a * a
 
 
-def _forward_trace(arch, params, inputs):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    layers = _unpack(arch, params)
-    acts = [inputs]  # a_0 .. a_{L-1}
-    zs = []  # z_1 .. z_L
-    a = inputs
+def _onehot(labels: np.ndarray, width: int) -> np.ndarray:
+    """float64 one-hot targets of integer labels, over a new last axis of ``width``."""
+    return (labels[..., None] == np.arange(width)).astype(np.float64)
+
+
+def _forward(arch, layers, inputs):
+    """Forward pass over unpacked (W, b) views: the layers' inputs a_0 .. a_{L-1}
+    and pre-activations z_1 .. z_L."""
+    acts = [inputs]
+    zs = []
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        zs.append(z)
+        zs.append(acts[-1] @ w + b)
         if i < len(layers) - 1:
-            a = _activate(arch, z)
-            acts.append(a)
-    return layers, acts, zs
-
-
-def _logit_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy w.r.t. the logits: (softmax - one-hot) / n."""
-    onehot = labels[..., None] == np.arange(probs.shape[-1])
-    return (probs - onehot) / probs.shape[-2]
+            acts.append(_activate(arch, zs[-1]))
+    return acts, zs
 
 
 def forward(arch: Architecture, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
@@ -233,7 +237,7 @@ def forward(arch: Architecture, params: ParamVector, inputs: np.ndarray) -> np.n
     """
     params = _check_params(arch, params)
     inputs = _check_inputs(arch, params, inputs)
-    _, _, zs = _forward_trace(arch, params, inputs)
+    _, zs = _forward(arch, _unpack(arch, params), inputs)
     return zs[-1]
 
 
@@ -308,10 +312,16 @@ def trace(arch: Architecture, params: ParamVector, batch: Batch) -> Trace:
     """
     params = _check_params(arch, params)
     inputs = _check_inputs(arch, params, batch.inputs)
-    layers, acts, zs = _forward_trace(arch, params, inputs)
+    return _trace(arch, _unpack(arch, params), inputs, _onehot(batch.labels, arch.output_dim))
+
+
+def _trace(arch, layers, inputs, onehot) -> Trace:
+    """``trace`` over unpacked (W, b) views and one-hot targets, unchecked."""
+    acts, zs = _forward(arch, layers, inputs)
     derivs = [_activation_deriv(arch, z, a) for z, a in zip(zs, acts[1:])]
     probs = softmax(zs[-1])
-    delta = _logit_delta(probs, batch.labels)
+    # the gradient of the mean cross-entropy w.r.t. the logits
+    delta = (probs - onehot) / probs.shape[-2]
     return _trusted(Trace, arch, [w for w, _ in layers], acts, derivs, probs, delta)
 
 
@@ -321,15 +331,21 @@ def backward(tr: Trace) -> ParamVector:
     A stacked trace gives a (B, P) result whose row b is the gradient of
     episode b's own mean loss.
     """
+    out = np.empty(tr.probs.shape[:-2] + (tr.arch.param_count,))
+    _backward(tr, _unpack(tr.arch, out))
+    return out
+
+
+def _backward(tr: Trace, grads) -> None:
+    """``backward`` written into ``grads``, the unpacked (W, b) views of a gradient buffer."""
     delta = tr.delta
-    flat = delta.shape[:-2] + (-1,)
-    grads = []  # per layer gb then gw, output layer first
     for i in range(len(tr.weights) - 1, -1, -1):
-        grads.append(delta.sum(axis=-2))
-        grads.append((tr.acts[i].swapaxes(-1, -2) @ delta).reshape(flat))
+        gw, gb = grads[i]
+        # a stacked bias view is (B, 1, fan_out), so a stacked sum keeps its sample axis
+        np.add.reduce(delta, axis=-2, keepdims=delta.ndim == 3, out=gb)
+        np.matmul(tr.acts[i].swapaxes(-1, -2), delta, out=gw)
         if i > 0:
             delta = (delta @ tr.weights[i].swapaxes(-1, -2)) * tr.derivs[i - 1]
-    return np.concatenate(grads[::-1], axis=-1)
 
 
 def grad(arch: Architecture, params: ParamVector, batch: Batch) -> ParamVector:

@@ -75,10 +75,10 @@ def _select_one_buffered(state: SamplerState, task_pool, signed: bool) -> TaskDe
     for task in task_pool:
         if len(state.buffer(task.id)) == 0:
             return task
-    draws = np.empty(len(task_pool))
-    for i, task in enumerate(task_pool):
-        buf = state.buffers[task.id]
-        draws[i] = buf[int(state.rng.integers(len(buf)))]
+    buffers = [state.buffers[task.id] for task in task_pool]
+    # one call draws every buffer's index, on the stream of one scalar call per task
+    picks = state.rng.integers([len(buf) for buf in buffers]).tolist()
+    draws = np.array([buf[i] for buf, i in zip(buffers, picks)])
     keys = draws if signed else np.abs(draws)
     return task_pool[int(np.argmax(keys))]  # argmax takes the first max: lowest index wins ties
 

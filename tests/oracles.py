@@ -330,6 +330,21 @@ def reference_hvp(arch, params, batch, v):
     return np.concatenate(hv[::-1])
 
 
+def reference_backward(tr):
+    """The gradient over a trace as the library computed it before it wrote
+    into a bound buffer: per-layer arrays, concatenated, kept operation for
+    operation so that the buffered one must match it bit for bit."""
+    delta = tr.delta
+    flat = delta.shape[:-2] + (-1,)
+    grads = []  # per layer gb then gw, output layer first
+    for i in range(len(tr.weights) - 1, -1, -1):
+        grads.append(delta.sum(axis=-2))
+        grads.append((tr.acts[i].swapaxes(-1, -2) @ delta).reshape(flat))
+        if i > 0:
+            delta = (delta @ tr.weights[i].swapaxes(-1, -2)) * tr.derivs[i - 1]
+    return np.concatenate(grads[::-1], axis=-1)
+
+
 def reference_fine_tune(arch, params, train, val, config, seed):
     """Fine-tuning the slow way: one model, plain 2-D calls, a gathered batch per step.
 

@@ -397,6 +397,20 @@ def test_curves_rejects_malformed_log(tmp_path, capsys):
     assert "malformed run log" in err
 
 
+def test_curves_names_the_log_line_and_column_of_a_bad_cell(tmp_path, trained_dir, capsys):
+    lines = (trained_dir / "run_log.tsv").read_text().splitlines()
+    parts = lines[1].split("\t")
+    parts[0] = "z"
+    lines[1] = "\t".join(parts)
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["curves", "--out", str(tmp_path / "o"), "--log", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[curves] {bad}: malformed run log: line 2: iteration must be an integer")
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 

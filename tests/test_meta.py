@@ -1,6 +1,7 @@
 """Tests for adaptation, meta-gradients, meta-training, baselines and checkpoints."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +326,29 @@ def test_run_log_rejects_bad_header():
 def test_run_log_rejects_short_line():
     text = sample_log().to_tsv() + "3\tcl\tK1\n"
     with pytest.raises(ValueError, match="malformed run log"):
+        RunLog.from_tsv(text)
+
+
+@pytest.mark.parametrize(
+    "column, value, expected",
+    [
+        (0, "z", "line 3: iteration must be an integer, got 'z'"),
+        (3, "0.5,x", "line 3: auc_before must be comma-separated numbers, got '0.5,x'"),
+        (7, "", "line 3: grad_norm must be a number, got ''"),
+    ],
+)
+def test_run_log_names_the_line_and_column_of_a_bad_cell(column, value, expected):
+    lines = sample_log().to_tsv().splitlines()
+    parts = lines[2].split("\t")
+    parts[column] = value
+    lines[2] = "\t".join(parts)
+    with pytest.raises(ValueError, match="malformed run log: " + re.escape(expected)):
+        RunLog.from_tsv("\n".join(lines) + "\n")
+
+
+def test_run_log_errors_count_blank_lines():
+    text = sample_log().to_tsv().replace("\n2\t", "\n\n2\t").replace("\t0.75\n", "\tx\n")
+    with pytest.raises(ValueError, match="line 4: grad_norm must be a number, got 'x'"):
         RunLog.from_tsv(text)
 
 

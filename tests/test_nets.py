@@ -19,7 +19,7 @@ from curmeta.nets import (
     softmax,
     trace,
 )
-from oracles import central_fd, max_rel_error, reference_hvp
+from oracles import central_fd, max_rel_error, reference_backward, reference_hvp
 
 
 def tiny_batch(rng, n, dim):
@@ -397,6 +397,37 @@ def test_grad_is_the_backward_pass_of_the_trace(rng):
     tr = trace(arch, params, batch)
     assert np.array_equal(backward(tr), grad(arch, params, batch))
     assert np.array_equal(tr.probs, softmax(forward(arch, params, batch.inputs)))
+
+
+@pytest.mark.parametrize("widths", [(5, 7, 2), (5, 7, 3, 2)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize(
+    "episodes, shared", [(None, False)] + [(b, s) for b in (1, 5, 13) for s in (False, True)]
+)
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_buffered_backward_equals_the_concatenating_reference(widths, activation, episodes, n, shared):
+    """The gradient written into a buffer's layer views has the bits of the per-layer
+    concatenation, 2-D or stacked; ``shared`` stacks one batch broadcast to every row,
+    as fine-tuning does."""
+    rng = np.random.default_rng(97 * n + 5 * (episodes or 0) + len(widths))
+    arch = Architecture(widths, activation=activation)
+    if episodes is None:
+        params, batch = init_params(arch, rng), tiny_batch(rng, n, widths[0])
+    else:
+        params = np.stack([init_params(arch, rng) for _ in range(episodes)])
+        if shared:
+            one = tiny_batch(rng, n, widths[0])
+            batch = Batch(
+                np.broadcast_to(one.inputs, (episodes,) + one.inputs.shape),
+                np.broadcast_to(one.labels, (episodes, n)),
+            )
+        else:
+            batch = Batch.stack(tiny_batch(rng, n, widths[0]) for _ in range(episodes))
+    tr = trace(arch, params, batch)
+    expected = reference_backward(tr)
+    assert expected.shape == params.shape
+    assert np.array_equal(backward(tr), expected)
+    assert np.array_equal(grad(arch, params, batch), expected)
 
 
 # ------------------------------------------------------------ episode axis
