@@ -76,7 +76,10 @@ def _add_meta_flags(parser: argparse.ArgumentParser) -> None:
 def build_meta_config(args) -> MetaConfig:
     fields = {}
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{args.config}: not JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         fields.update(doc)

@@ -226,14 +226,14 @@ def run_pipeline(recipe, out_dir, **settings) -> dict:
     ``recipe`` selects the pretraining stage: a MetaConfig runs meta-training
     (its seed replaced by the run seed), the string "plain" skips pretraining
     and fine-tunes from a fresh initialization, "multitask" pretrains with the
-    joint multi-head baseline.  ``settings`` are ``ExperimentPlan`` fields by
-    name, with the plan's defaults and checks.  Artifacts: data/ split TSVs,
-    run_log.tsv (meta only), checkpoint.json, result.json, manifest.json,
-    written once it completes.  A pipeline is a one-run repetition of a
-    one-repetition plan, so a sweep's run directory equals the pipeline with
-    the same seeds.
+    joint multi-head baseline; any other recipe fails before data is
+    generated.  ``settings`` are ``ExperimentPlan`` fields by name, with the
+    plan's defaults and checks.  Artifacts: data/ split TSVs, run_log.tsv
+    (meta only), checkpoint.json, result.json, manifest.json, written once
+    it completes.  A pipeline is a one-run repetition of a one-repetition
+    plan, so a sweep's run directory equals the pipeline with the same seeds.
     """
-    if isinstance(recipe, str) and recipe not in BASELINE_KINDS:
+    if not (isinstance(recipe, MetaConfig) or (isinstance(recipe, str) and recipe in BASELINE_KINDS)):
         raise StageError("pretrain", f"unknown pipeline designator {recipe!r}")
     plan = ExperimentPlan((), repetitions=1, **settings)
     [result] = _run_repetition(plan, 0, [(recipe, out_dir)])

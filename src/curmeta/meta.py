@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nets
 from .metrics import compute_auc
-from .nets import Architecture, Batch, ParamVector, _trusted
+from .nets import Architecture, Batch, ParamVector
 from .samplers import SamplerKind, SamplerState, record_outcome, select_batch
 from .tasks import (
     K5,
@@ -169,7 +169,7 @@ class _Untraced:
 
     def hvp(self, trace, b, v):
         params, batch = trace
-        return self.objective.hvp(params[b], _unstack(batch)[b], v)
+        return self.objective.hvp(params[b], batch[b], v)
 
 
 def _traced(objective):
@@ -210,34 +210,19 @@ def inner_adapt(objective, params: ParamVector, support: Batch, alpha: float, st
     return trajectory[-1]
 
 
-def _stack(batches):
-    """Episode batches with a leading episode axis; other objectives get the tuple."""
-    batches = tuple(batches)
-    if all(isinstance(b, Batch) for b in batches):
-        return Batch.stack(batches)
-    return batches
-
-
-def _unstack(batches):
-    """The episodes' own batches of a ``_stack`` result (views into a stacked Batch)."""
-    if isinstance(batches, Batch):
-        return [_trusted(Batch, x, y) for x, y in zip(batches.inputs, batches.labels)]
-    return batches
-
-
 def _meta_gradients(objective, params, counts, trajectory, support, query, alpha, mode):
     """Meta-gradient of each group of consecutive episodes, one row per group.
 
     Group g starts from ``params[g]`` and owns the next ``counts[g]``
-    episodes; ``support`` and ``query`` are the episodes' batches stacked by
-    ``_stack`` and ``objective`` is in traced form (``_traced``).  The
-    unroll (into ``trajectory``, a ``_buffer`` with one row per episode) and
-    the query gradient run once for all episodes, and trajectory[-1] ends up
-    holding the adapted params.  The reverse sweep runs per episode, through
-    theta_{k+1} = theta_k - alpha * g(theta_k): v <- (I - alpha * H(theta_k)) v
-    at every inner step, on the unroll's own trace of that step.  Each group
-    sums its episodes' gradients in order.  Returns the sums and the query
-    trace.
+    episodes; ``support`` and ``query`` hold the episodes' batches (stacked
+    for a ``NetLoss``, a tuple otherwise) and ``objective`` is in traced form
+    (``_traced``).  The unroll (into ``trajectory``, a ``_buffer`` with one
+    row per episode) and the query gradient run once for all episodes, and
+    trajectory[-1] ends up holding the adapted params.  The reverse sweep
+    runs per episode, through theta_{k+1} = theta_k - alpha * g(theta_k):
+    v <- (I - alpha * H(theta_k)) v at every inner step, on the unroll's own
+    trace of that step.  Each group sums its episodes' gradients in order.
+    Returns the sums and the query trace.
     """
     mode = GradientMode(mode)
     group = np.repeat(np.arange(len(counts)), counts)
@@ -263,15 +248,16 @@ def meta_gradient(
     """Gradient w.r.t. the initialization of the summed post-adaptation query losses.
 
     ``objective.grad`` receives params with a leading episode axis and the
-    episodes' batches stacked (``Batch.stack``; objectives whose batches are
-    not ``Batch`` get the tuple of them), and ``objective.hvp`` one episode
-    at a time.  Per-episode gradients are accumulated in the given order.
+    episodes' batches, stacked (``Batch.stack``) for a ``NetLoss`` and as a
+    tuple for a closed-form objective, and ``objective.hvp`` one episode at
+    a time.  Per-episode gradients are accumulated in the given order.
     """
     episodes = list(episodes)
     if not episodes:
         raise ValueError("meta_gradient needs at least one episode")
-    support = _stack(ep.support for ep in episodes)
-    query = _stack(ep.query for ep in episodes)
+    stack = Batch.stack if isinstance(objective, NetLoss) else tuple
+    support = stack(ep.support for ep in episodes)
+    query = stack(ep.query for ep in episodes)
     params = np.asarray(params, dtype=np.float64)
     trajectory = _buffer(steps, (len(episodes),) + params.shape)
     totals, _ = _meta_gradients(
@@ -779,7 +765,10 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint; a missing or mistyped field fails naming the field."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} document")
     required = object()

@@ -6,21 +6,22 @@ layout is fixed by the architecture: for each layer, the weight matrix
 this module is a pure function of its inputs; there is no hidden state, so
 callers may evaluate concurrently without synchronization.
 
-``forward`` and ``grad`` also take a leading episode axis: with params of
-shape (B, P), inputs (B, n, d) and labels (B, n), episode b is evaluated at
-its own parameter row on its own batch, and the result has a leading axis of
-B.  Row b of a stacked call carries the same bits as the plain call on
-episode b alone, so a meta-batch can be evaluated in one call without
-changing any number.
+``forward``, ``trace``, ``backward``, ``grad`` and ``hessian_vector_product``
+also take a leading episode axis: with params of shape (B, P), inputs
+(B, n, d) and labels (B, n), episode b is evaluated at its own parameter row
+on its own batch, and the result has a leading axis of B.  Row b of a
+stacked call carries the same bits as the plain call on episode b alone, so
+a meta-batch can be evaluated in one call without changing any number.  Each
+function has one body for both shapes.
 
 ``trace`` runs the checks and the forward pass once and keeps what the
 derivatives need: the layers' weights, the activations and activation
 derivatives, the softmax and the logit delta.  ``backward`` is the gradient
 over a trace (``grad`` is ``backward(trace(...))``), and
-``hessian_vector_product`` runs only the tangent sweeps over the trace of
-one episode, so a caller that has traced a point already pays for no second
-forward pass there.  ``Trace.row(b)`` is episode b of a stacked trace, with
-the same bits as the trace of episode b alone.
+``hessian_vector_product`` runs only the tangent sweeps over a trace, with a
+direction of the trace's leading shape, so a caller that has traced a point
+already pays for no second forward pass there.  ``Trace.row(b)`` is episode b
+of a stacked trace, with the same bits as the trace of episode b alone.
 
 Under the public functions is one unchecked core.  ``_forward`` runs the
 forward pass over unpacked (W, b) layer views, and ``_trace`` adds the
@@ -360,19 +361,17 @@ def grad(arch: Architecture, params: ParamVector, batch: Batch) -> ParamVector:
 def hessian_vector_product(tr: Trace, v: ParamVector) -> ParamVector:
     """Exact H @ v for the Hessian H of the traced batch cross-entropy.
 
-    Forward-over-reverse on the trace of one episode (``Trace.row`` of a
-    stacked one): a tangent in direction ``v`` is propagated through the
-    forward pass and then through backprop, which differentiates the
-    gradient computation itself (no finite differencing anywhere).
+    Forward-over-reverse on the trace: a tangent in direction ``v`` is
+    propagated through the forward pass and then through backprop, which
+    differentiates the gradient computation itself (no finite differencing
+    anywhere).  A stacked trace of B episodes takes ``v`` of shape (B, P) and
+    gives a (B, P) result whose row b is episode b's own H @ v.
     """
     arch, weights, acts, derivs = tr.arch, tr.weights, tr.acts, tr.derivs
-    if tr.probs.ndim != 2:
-        raise ValueError(
-            f"need the trace of one episode, got a stacked trace of {tr.probs.shape[0]} episodes"
-        )
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (arch.param_count,):
-        raise ValueError(f"direction vector has shape {v.shape}, need ({arch.param_count},)")
+    lead = tr.probs.shape[:-2]
+    v, want = np.asarray(v, dtype=np.float64), lead + (arch.param_count,)
+    if v.shape != want:
+        raise ValueError(f"direction vector has shape {v.shape}, need {want}")
     vlayers = _unpack(arch, v)
     n_layers = len(weights)
 
@@ -387,28 +386,31 @@ def hessian_vector_product(tr: Trace, v: ParamVector) -> ParamVector:
         rz = r_acts[i] @ weights[i] + acts[i] @ vw + vb
 
     p = tr.probs
-    rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
+    r_delta = rz - np.add.reduce(p * rz, axis=-1, keepdims=True)
+    r_delta *= p
+    r_delta /= p.shape[-2]
     delta = tr.delta
-    r_delta = rp / p.shape[0]
 
-    hv = []  # per layer r_gb then r_gw, output layer first
-    for i in range(n_layers - 1, 0, -1):
-        hv.append(r_delta.sum(axis=0))
-        hv.append((r_acts[i].T @ delta + acts[i].T @ r_delta).ravel())
-        w = weights[i]
-        vw, _ = vlayers[i]
+    out = np.empty(want)
+    hv = _unpack(arch, out)  # written layer by layer, output layer first
+    for i in range(n_layers - 1, -1, -1):
+        gw, gb = hv[i]
+        np.add.reduce(r_delta, axis=-2, keepdims=r_delta.ndim == 3, out=gb)
+        np.matmul(acts[i].swapaxes(-1, -2), r_delta, out=gw)
+        if i == 0:
+            return out
+        gw += r_acts[i].swapaxes(-1, -2) @ delta
+        wt = weights[i].swapaxes(-1, -2)
         d = derivs[i - 1]
-        r_s = r_delta @ w.T + delta @ vw.T
-        new_r_delta = r_s * d
+        new_r_delta = r_delta @ wt
+        new_r_delta += delta @ vlayers[i][0].swapaxes(-1, -2)
+        new_r_delta *= d
         # the input layer's gradient needs only r_delta; s feeds delta and the tanh term
         if i > 1 or arch.activation == "tanh":
-            s = delta @ w.T
+            s = delta @ wt
             if arch.activation == "tanh":
                 # d = 1 - a^2, so the tangent of d is -2 a r_a
-                new_r_delta = new_r_delta + s * (-2.0 * acts[i] * r_acts[i])
+                new_r_delta += s * (-2.0 * acts[i] * r_acts[i])
             if i > 1:
                 delta = s * d
         r_delta = new_r_delta
-    hv.append(r_delta.sum(axis=0))
-    hv.append((acts[0].T @ r_delta).ravel())
-    return np.concatenate(hv[::-1])

@@ -91,8 +91,8 @@ class Samples:
     """A split as arrays: features (n, d) float64, classes (n,) and subjects (n,) int64.
 
     ``len`` counts samples and a slice is a ``Samples``.  The arrays are
-    read-only copies, so the per-task views that ``sample_episode`` caches on
-    the instance never go stale.
+    read-only copies, so the read-only per-task views that ``sample_episode``
+    and ``map_labels`` cache on the instance never go stale.
     """
 
     features: np.ndarray
@@ -132,7 +132,7 @@ class Samples:
             eligible = np.flatnonzero(task._included[self.classes])
             positive = task._positive[self.classes[eligible]]
             subjects = self.subjects[eligible]
-            self._views[task] = (
+            self._views[task] = view = (
                 self.features[eligible],
                 positive,
                 positive.astype(np.int64),
@@ -141,6 +141,8 @@ class Samples:
                 np.flatnonzero(positive),
                 np.flatnonzero(~positive),
             )
+            for values in view:  # shared by every caller, so never written
+                values.flags.writeable = False
         return self._views[task]
 
     def __len__(self) -> int:
@@ -261,12 +263,12 @@ def generate_source(
 def map_labels(task: TaskDefinition, samples: Samples) -> Batch:
     """Binary batch for a task: drop excluded classes, label positives 1.
 
-    Sample order is preserved.
+    Sample order is preserved; the arrays are the split's cached, read-only task view.
     """
-    kept = task._included[samples.classes]
-    if not kept.any():
+    features, _, labels, *_ = samples._task_view(task)
+    if not len(labels):
         raise ValueError(f"no samples left after mapping task {task.id}")
-    return Batch(samples.features[kept], task._positive[samples.classes[kept]])
+    return _trusted(Batch, features, labels)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,17 @@ Every output file of a run is a pure function of its seeds, so a change that
 claims to keep the numbers must keep these tree digests.  They are computed
 with the benchmark's own ``tree_digest`` (perfbench/workloads.py, loaded from
 its file as tests/test_traced_names.py loads the tracer) and cover the
-second-order curriculum pipeline, the first-order bandit pipeline and a
-default-plan sweep, whose fine-tune is a lockstep stack of 13 models.  The
-same digests hold with BLAS at one thread and at its default thread count.
+second-order curriculum pipeline, the first-order bandit pipeline, a
+default-plan sweep, whose fine-tune is a lockstep stack of 13 models, and the
+CLI's stage chain (generate, meta-train, fine-tune, evaluate), each stage
+reading the files of the stage before.  The same digests hold with BLAS at one thread and at its default thread count.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from curmeta.cli import main
 from curmeta.harness import default_plan, run_pipeline, run_sweep
 from curmeta.meta import FineTuneConfig, MetaConfig
 
@@ -53,3 +55,27 @@ def test_small_runs_keep_their_artifact_bytes(tmp_path, monkeypatch):
     digests["sweep"] = tree_digest(tmp_path / "sweep")
     expected = {name: digest for name, (_, digest) in PIPELINES.items()}
     assert digests == {**expected, "sweep": SWEEP_DIGEST}
+
+
+CLI_DIGESTS = {
+    "generate": "b2224293f0c020446142fc1def0b27b2d039dc61f558bc1514dfd2800ba3526e",
+    "meta-train": "7882d208c60407b76b6c0b7b221be09632f91e74a893f8edbfd53eb7ed7416f2",
+    "fine-tune": "e0aeb962aec27826913dfc2dac147983f6597a9954eaf976b66e12d13e840ff1",
+    "evaluate": "06695eae5cd3fb47d88c14a3d957ee45df251ab5c9715ba308582ab2322573a6",
+}
+
+
+def test_cli_stage_chain_keeps_its_artifact_bytes(tmp_path, monkeypatch):
+    tree_digest = load_workloads(monkeypatch).tree_digest
+    data, meta, tuned = tmp_path / "generate", tmp_path / "meta-train", tmp_path / "fine-tune"
+    commands = {
+        "generate": ["--data-seed", "4", "--n-subjects", "40"],
+        "meta-train": ["--data", str(data), "--hidden", "8", "--meta-updates", "30", "--sampler", "cl"],
+        "fine-tune": ["--data", str(data), "--checkpoint", str(meta / "checkpoint.json"), "--epochs", "20"],
+        "evaluate": ["--data", str(data), "--checkpoint", str(tuned / "checkpoint.json")],
+    }
+    digests = {}
+    for command, flags in commands.items():
+        assert main([command, "--out", str(tmp_path / command), *flags]) == 0
+        digests[command] = tree_digest(tmp_path / command)
+    assert digests == CLI_DIGESTS

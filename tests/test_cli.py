@@ -307,6 +307,19 @@ def test_fine_tune_bad_checkpoint_fails_naming_the_field(tmp_path, data_dir, tra
     assert "architecture.activation" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("fine-tune", "--checkpoint"), ("evaluate", "--checkpoint"), ("meta-train", "--config")]
+)
+def test_a_file_that_is_not_json_fails_naming_the_file(tmp_path, data_dir, capsys, command, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    rc = main([command, "--out", str(tmp_path / "out"), flag, str(bad), "--data", str(data_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"[{command}] {bad}: not JSON: Expecting value: line 1 column 1 (char 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_meta_train_empty_train_split_fails_cleanly(tmp_path, data_dir, capsys):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)

@@ -113,6 +113,14 @@ def test_pipeline_rejects_unknown_designator(tmp_path):
     assert str(exc.value).startswith("[pretrain]")
 
 
+@pytest.mark.parametrize("recipe", [42, None, ("plain",), "bogus"])
+def test_pipeline_rejects_a_recipe_before_generating_data(recipe, tmp_path):
+    out_dir = tmp_path / "run"
+    with pytest.raises(StageError, match=r"^\[pretrain\] unknown pipeline designator"):
+        quick_pipeline(recipe, out_dir)
+    assert not out_dir.exists()
+
+
 def test_pipeline_wraps_generate_failure(tmp_path):
     with pytest.raises(StageError) as exc:
         quick_pipeline(QUICK_META, tmp_path, n_subjects=4)  # below the split minimum

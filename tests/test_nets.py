@@ -368,26 +368,32 @@ def test_hvp_rejects_bad_direction_shape(rng):
         hessian_vector_product(trace(arch, params, batch), np.zeros(arch.param_count + 2))
 
 
-@pytest.mark.parametrize("widths", [(5, 7, 2), (5, 7, 3, 2)])
+@pytest.mark.parametrize("widths", [(5, 7, 2), (5, 7, 3, 2), (16, 24, 2)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
 def test_hvp_on_a_stacked_trace_row_equals_the_untraced_reference(widths, activation, n):
+    """Row b of one stacked call, the call on row b of the stacked trace and the
+    call on episode b's own trace all carry the reference's bits."""
     rng = np.random.default_rng(7 * n + len(widths))
     arch = Architecture(widths, activation=activation)
-    params = np.stack([init_params(arch, rng) for _ in range(3)])
-    batches = [tiny_batch(rng, n, widths[0]) for _ in range(3)]
-    stacked = trace(arch, params, Batch.stack(batches))
-    for b, batch in enumerate(batches):
-        row, alone = stacked.row(b), trace(arch, params[b], batch)
-        for got, want in zip(
-            [*row.weights, *row.acts, *row.derivs, row.probs, row.delta],
-            [*alone.weights, *alone.acts, *alone.derivs, alone.probs, alone.delta],
-        ):
-            assert got.shape == want.shape and np.array_equal(got, want)
-        v = rng.normal(size=arch.param_count)
-        expected = reference_hvp(arch, params[b], batch, v)
-        assert np.array_equal(hessian_vector_product(row, v), expected)
-        assert np.array_equal(hessian_vector_product(alone, v), expected)
+    for episodes in (1, 3, 13):
+        params = np.stack([init_params(arch, rng) for _ in range(episodes)])
+        batches = [tiny_batch(rng, n, widths[0]) for _ in range(episodes)]
+        stacked = trace(arch, params, Batch.stack(batches))
+        vs = rng.normal(size=params.shape)
+        hv = hessian_vector_product(stacked, vs)
+        assert hv.shape == params.shape
+        for b, batch in enumerate(batches):
+            row, alone = stacked.row(b), trace(arch, params[b], batch)
+            for got, want in zip(
+                [*row.weights, *row.acts, *row.derivs, row.probs, row.delta],
+                [*alone.weights, *alone.acts, *alone.derivs, alone.probs, alone.delta],
+            ):
+                assert got.shape == want.shape and np.array_equal(got, want)
+            expected = reference_hvp(arch, params[b], batch, vs[b])
+            assert np.array_equal(hv[b], expected)
+            assert np.array_equal(hessian_vector_product(row, vs[b]), expected)
+            assert np.array_equal(hessian_vector_product(alone, vs[b]), expected)
 
 
 def test_grad_is_the_backward_pass_of_the_trace(rng):
@@ -495,7 +501,7 @@ def test_episode_axes_must_agree(rng):
         forward(arch, params[0], stacked.inputs)
     with pytest.raises(ValueError, match="parameter vector"):
         grad(arch, np.zeros((2, 2, arch.param_count)), plain)
-    with pytest.raises(ValueError, match="trace of one episode"):
+    with pytest.raises(ValueError, match=r"direction vector has shape \(26,\), need \(2, 26\)"):
         hessian_vector_product(trace(arch, params, Batch.stack([plain, plain])), params[0])
 
 

@@ -260,8 +260,17 @@ def test_map_labels_excludes_classes(small_data):
 
 def test_map_labels_empty_raises():
     samples = Samples(np.zeros((1, 2)), [1], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no samples left after mapping task K2"):
         map_labels(K2, samples)  # class 1 is excluded from K2
+
+
+def test_map_labels_shares_the_read_only_task_view(small_data):
+    first, again = map_labels(K5, small_data.train), map_labels(K5, small_data.train)
+    assert first.inputs is again.inputs and first.labels is again.labels
+    assert first.labels.dtype == np.int64
+    for values in (first.inputs, first.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
 
 
 # ------------------------------------------------------------------ episodes
