@@ -10,6 +10,7 @@ is the stage of its name: a failure exits with status 1 and a single
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -107,6 +108,14 @@ def load_data(args):
     return generate_source(SourceConfig(seed=seed), args.n_subjects)
 
 
+def input_digests(args) -> dict[str, str]:
+    """sha256 of each split and checkpoint file a stage read, keyed by file name, not path."""
+    paths = {name: args.data / name for name in SPLIT_FILES.values()} if args.data is not None else {}
+    if getattr(args, "checkpoint", None) is not None:
+        paths["checkpoint.json"] = args.checkpoint
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+
+
 def cmd_generate(args) -> int:
     data = generate_source(SourceConfig(seed=args.data_seed, dim=args.dim), args.n_subjects)
     texts = format_split_dataset(data)
@@ -130,7 +139,7 @@ def cmd_meta_train(args) -> int:
     write_manifest(
         args.out,
         {"checkpoint.json": format_checkpoint(model), "run_log.tsv": log.to_tsv()},
-        config=config_to_dict(config),
+        config={**config_to_dict(config), "inputs": input_digests(args)},
         seeds={"seed": config.seed, "data_seed": args.data_seed},
     )
     print(f"meta-trained {config.meta_updates} updates, checkpoint at {args.out / 'checkpoint.json'}")
@@ -148,7 +157,7 @@ def cmd_fine_tune(args) -> int:
     write_manifest(
         args.out,
         {"checkpoint.json": format_checkpoint(tuned)},
-        config={"task": args.task, "fine_tune": config_to_dict(ft)},
+        config={"task": args.task, "fine_tune": config_to_dict(ft), "inputs": input_digests(args)},
         seeds={"seed": args.seed, "data_seed": args.data_seed},
     )
     print(f"fine-tuned on {args.task}, checkpoint at {args.out / 'checkpoint.json'}")
@@ -165,7 +174,7 @@ def cmd_evaluate(args) -> int:
     write_manifest(
         args.out,
         {"result.json": json.dumps(result, indent=2, sort_keys=True) + "\n"},
-        config={"task": args.task, "split": args.split},
+        config={"task": args.task, "split": args.split, "inputs": input_digests(args)},
         seeds={"data_seed": args.data_seed},
     )
     print(f"{args.task} {args.split} AUC: {auc:.6f}")

@@ -101,10 +101,10 @@ def stage(name: str):
 
 
 class _Run:
-    """One run of a repetition: its recipe, seeds and the texts of its artifacts so far."""
+    """One run of a repetition: its recipe (a meta one with the run seed), seeds and artifact texts."""
 
     def __init__(self, recipe, out_dir, data_seed: int, run_seed: int):
-        self.recipe = recipe
+        self.recipe = replace(recipe, seed=run_seed) if isinstance(recipe, MetaConfig) else recipe
         self.out_dir = out_dir
         self.data_seed = data_seed
         self.run_seed = run_seed
@@ -122,14 +122,9 @@ class _Run:
                 params = initial_params(arch, self.run_seed)
                 model = TrainedModel(arch, params, Provenance({"baseline": "plain"}, self.run_seed))
             else:
-                model = multitask_train(
-                    arch,
-                    TASKS,
-                    data,
-                    learning_rate=MT_RATE,
-                    iterations=plan.mt_iterations,
-                    rng=derive_stream(self.run_seed, 2),
-                )
+                rng = derive_stream(self.run_seed, 2)
+                model = multitask_train(arch, TASKS, data, MT_RATE, plan.mt_iterations, rng)
+                model = replace(model, provenance=Provenance({"baseline": "multitask"}, self.run_seed))
         return model
 
     def finish(self, final, data) -> dict:
@@ -194,9 +189,8 @@ def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
             stacks.setdefault(stack_key(run.recipe), []).append(i)
     trained = {}
     for members in stacks.values():
-        configs = [replace(runs[i].recipe, seed=run_seed) for i in members]
         try:
-            trained.update(zip(members, meta_train(arch, configs, data)))
+            trained.update(zip(members, meta_train(arch, [runs[i].recipe for i in members], data)))
         except Exception as e:  # a failure of the whole call is every member's failure
             trained.update(dict.fromkeys(members, e))
     outcomes = [None] * len(runs)

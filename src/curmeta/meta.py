@@ -407,7 +407,8 @@ def meta_train(
     from the training split, adapts per task, meta-updates the initialization,
     and records the pre/post-adaptation query AUC of every episode with the
     sampler.  Deterministic given the config seed (the default sampler and all
-    episode draws derive their streams from it).
+    episode draws derive their streams from it).  A caller's ``sampler`` must
+    be of the config's sampler kind.
 
     ``config`` may also be a sequence of configs that share a ``stack_key``
     (a mixed sequence is rejected, naming the field), with ``sampler`` then
@@ -486,6 +487,11 @@ def _meta_train_lockstep(arch, configs, data, task_pool, samplers) -> list:
         if any(v != values[0] for v in values):
             raise ValueError(
                 f"configs meta-trained in lockstep must share {name}, got {values}"
+            )
+    for config, sampler in zip(configs, samplers):
+        if sampler is not None and sampler.kind is not config.sampler:
+            raise ValueError(
+                f"config sampler {config.sampler.value} but sampler state {sampler.kind.value}"
             )
     base_pool = list(task_pool if task_pool is not None else TASKS)
     results = [None] * len(configs)

@@ -352,13 +352,13 @@ def sample_episode(
 
 
 def derive_stream(seed: int, worker: int) -> np.random.Generator:
-    """RNG stream for a worker: master seed plus 1000 per worker.  Streams of
-    different seeds overlap: ``derive_stream(1000, 0)`` is ``derive_stream(0, 1)``
-    (ROADMAP, Known defects: "Seed streams overlap").  A negative seed would
-    land on another seed's stream, so it is rejected."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed + 1000 * worker)
+    """Stream ``worker`` of run seed ``seed``: child ``3 + worker`` of ``SeedSequence(seed)``.
+    A run's children are 0 init, 1 episodes, 2 sampler (``meta``), 4 fine-tuning
+    (worker 1) and 5 the multi-task baseline (worker 2); no two pairs share one."""
+    for name, value in (("seed", seed), ("worker", worker)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3 + worker,)))
 
 
 # --- tabular text serialization -------------------------------------------------

@@ -8,8 +8,14 @@ second-order curriculum pipeline, the first-order bandit pipeline, a
 default-plan sweep, whose fine-tune is a lockstep stack of 13 models, and the
 CLI's stage chain (generate, meta-train, fine-tune, evaluate), each stage
 reading the files of the stage before.  The same digests hold with BLAS at one thread and at its default thread count.
+
+The run logs and the generated data are pinned on their own: they come from
+the data seed's stream and meta-training's streams (children 0-2 of the run
+seed), which fine-tuning and the multi-task baseline (children 4 and 5) do
+not touch.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -26,14 +32,20 @@ SETTINGS = dict(data_seed=4, run_seed=9, n_subjects=40, hidden=8, fine_tune=FINE
 PIPELINES = {
     "second-cl": (
         MetaConfig(meta_updates=30, sampler="cl", gradient_mode="second", meta_batch_size=5),
-        "f71d1cf18d46d1ab3450832d6905c69dff7b1aae1689e5580afbe8044324cb38",
+        "d6dc9eb3554e2d20832c46423f8154a0f2131f80590a42f1b88e294ac3d06a5e",
     ),
     "first-mab": (
         MetaConfig(meta_updates=30, sampler="mab", gradient_mode="first", meta_batch_size=3),
-        "9fb9d74f1df9abf7536824974b7d72b3d43f2a1226635e43c75e51bd0dfd846b",
+        "d406be4e483b9c64090375abf04a41e3ab5032397f7d193dee567724c03cbb14",
     ),
 }
-SWEEP_DIGEST = "d288b0c2f6574642f2b13ff974d6effc35c7823bd6172e6b586e7ac0a9464dd1"
+SWEEP_DIGEST = "e9d691e8a26558a3b64c28a82643cc385ccc02dfa3d5fc1a62696b71cb378037"
+RUN_LOG_SHA256 = {
+    "second-cl": "96d185a2fde6679486080da0da6086bd666a03094c8b543b0505f5c2f6d79f05",
+    "first-mab": "b8192157995caa17761379478c8552b4ef38892fa8e1fb32c13a6bc4d35fd8b1",
+}
+GENERATE_ARGS = ["--data-seed", "4", "--n-subjects", "40"]
+GENERATE_DIGEST = "b2224293f0c020446142fc1def0b27b2d039dc61f558bc1514dfd2800ba3526e"
 
 
 def load_workloads(monkeypatch):
@@ -57,11 +69,20 @@ def test_small_runs_keep_their_artifact_bytes(tmp_path, monkeypatch):
     assert digests == {**expected, "sweep": SWEEP_DIGEST}
 
 
+def test_run_logs_and_generated_data_keep_their_bytes(tmp_path, monkeypatch):
+    for name, (config, _) in PIPELINES.items():
+        run_pipeline(config, tmp_path / name, **SETTINGS)
+        log = (tmp_path / name / "run_log.tsv").read_bytes()
+        assert hashlib.sha256(log).hexdigest() == RUN_LOG_SHA256[name], name
+    assert main(["generate", "--out", str(tmp_path / "generate"), *GENERATE_ARGS]) == 0
+    assert load_workloads(monkeypatch).tree_digest(tmp_path / "generate") == GENERATE_DIGEST
+
+
 CLI_DIGESTS = {
-    "generate": "b2224293f0c020446142fc1def0b27b2d039dc61f558bc1514dfd2800ba3526e",
-    "meta-train": "7882d208c60407b76b6c0b7b221be09632f91e74a893f8edbfd53eb7ed7416f2",
-    "fine-tune": "e0aeb962aec27826913dfc2dac147983f6597a9954eaf976b66e12d13e840ff1",
-    "evaluate": "06695eae5cd3fb47d88c14a3d957ee45df251ab5c9715ba308582ab2322573a6",
+    "generate": GENERATE_DIGEST,
+    "meta-train": "652ea0de0e6d364da021274957b19960a83bf42c363754d66a96c48ca9b59559",
+    "fine-tune": "53b3c97ec403a0d092e25b940573845131d3e855023d4a98351c429ac0d7f8d1",
+    "evaluate": "6b929fb4ca5f8a5d52e80b303e11121bf4328232bc579f636b5be93c1324e3c1",
 }
 
 
@@ -69,7 +90,7 @@ def test_cli_stage_chain_keeps_its_artifact_bytes(tmp_path, monkeypatch):
     tree_digest = load_workloads(monkeypatch).tree_digest
     data, meta, tuned = tmp_path / "generate", tmp_path / "meta-train", tmp_path / "fine-tune"
     commands = {
-        "generate": ["--data-seed", "4", "--n-subjects", "40"],
+        "generate": GENERATE_ARGS,
         "meta-train": ["--data", str(data), "--hidden", "8", "--meta-updates", "30", "--sampler", "cl"],
         "fine-tune": ["--data", str(data), "--checkpoint", str(meta / "checkpoint.json"), "--epochs", "20"],
         "evaluate": ["--data", str(data), "--checkpoint", str(tuned / "checkpoint.json")],

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process via main)."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -267,6 +268,64 @@ def test_evaluate_other_task_and_split(tmp_path, data_dir, trained_dir, capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.startswith("K3 validation AUC: ")
+
+
+SPLITS = ("train.tsv", "validation.tsv", "test.tsv")
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def recorded_inputs(out_dir) -> dict:
+    return json.loads((out_dir / "manifest.json").read_text())["config"]["inputs"]
+
+
+def test_stages_record_their_inputs_by_file_name_not_path(tmp_path, data_dir, trained_dir):
+    splits = {name: sha256(data_dir / name) for name in SPLITS}
+    checkpoint = {"checkpoint.json": sha256(trained_dir / "checkpoint.json")}
+    trees = []
+    for where in ("a", "b/deeper"):
+        root = tmp_path / where
+        shutil.copytree(data_dir, root / "splits")
+        shutil.copy(trained_dir / "checkpoint.json", root / "model.json")
+        data, model = ["--data", str(root / "splits")], ["--checkpoint", str(root / "model.json")]
+        meta = ["--hidden", "6", "--meta-updates", "2", "--inner-steps", "2", "--meta-batch", "2"]
+        assert main(["meta-train", "--out", str(root / "meta-train"), *data, *meta]) == 0
+        assert main(["fine-tune", "--out", str(root / "fine-tune"), *data, *model, "--epochs", "1"]) == 0
+        assert main(["evaluate", "--out", str(root / "evaluate"), *data, *model]) == 0
+        assert recorded_inputs(root / "meta-train") == splits
+        assert recorded_inputs(root / "fine-tune") == recorded_inputs(root / "evaluate") == {**splits, **checkpoint}
+        trees.append(
+            {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for stage in ("meta-train", "fine-tune", "evaluate")
+                for p in (root / stage).rglob("*")
+                if p.is_file()
+            }
+        )
+    assert trees[0] == trees[1]
+    # a stage that generates its data records the data seed and no split files
+    out = tmp_path / "generated"
+    assert main(["meta-train", "--out", str(out), *GEN_ARGS[:4], *meta]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == {"seed": 0, "data_seed": 2}
+    assert manifest["config"]["inputs"] == {}
+
+
+def test_evaluate_records_which_checkpoint_it_scored(tmp_path, data_dir, trained_dir):
+    tuned = tmp_path / "tuned"
+    data = ["--data", str(data_dir)]
+    argv = ["--checkpoint", str(trained_dir / "checkpoint.json"), "--epochs", "1"]
+    assert main(["fine-tune", "--out", str(tuned), *data, *argv]) == 0
+    inputs = []
+    for name, checkpoint in (("meta", trained_dir), ("tuned", tuned)):
+        out = tmp_path / "evaluate" / name
+        assert main(["evaluate", "--out", str(out), *data, "--checkpoint", str(checkpoint / "checkpoint.json")]) == 0
+        inputs.append(recorded_inputs(out))
+    assert [i["checkpoint.json"] for i in inputs] == [sha256(d / "checkpoint.json") for d in (trained_dir, tuned)]
+    assert inputs[0]["checkpoint.json"] != inputs[1]["checkpoint.json"]
+    assert {**inputs[0], "checkpoint.json": ""} == {**inputs[1], "checkpoint.json": ""}  # same splits
 
 
 def test_fine_tune_missing_checkpoint_fails_cleanly(tmp_path, data_dir, capsys):

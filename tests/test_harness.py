@@ -106,6 +106,32 @@ def test_pipeline_multitask_baseline(tmp_path):
     assert (tmp_path / "checkpoint.json").exists()
 
 
+def recorded_seeds(run_dir) -> tuple:
+    """The recipe seed that result.json, manifest.json and checkpoint.json of a run record."""
+    names = ("result.json", "manifest.json", "checkpoint.json")
+    result, manifest, checkpoint = (json.loads((run_dir / name).read_text()) for name in names)
+    return result["config"]["seed"], manifest["config"]["seed"], checkpoint["seed"]
+
+
+def test_a_meta_run_records_the_seed_it_trained_with(tmp_path):
+    # the recipe's own seed is 0; the run trains with run seed 7
+    quick_pipeline(QUICK_META, tmp_path / "pipeline", data_seed=3, run_seed=7)
+    assert recorded_seeds(tmp_path / "pipeline") == (7, 7, 7)
+    plan = ExperimentPlan(
+        (Variant("meta", CellKey("BSML", 2, "random"), meta=QUICK_META),),
+        repetitions=2, data_seed=3, run_seed=7, fine_tune=QUICK_FT, hidden=6, n_subjects=40,
+    )
+    run_sweep(plan, tmp_path / "sweep")
+    for rep in range(2):
+        assert recorded_seeds(tmp_path / "sweep" / "runs" / "meta" / f"rep{rep}") == (7 + rep,) * 3
+
+
+@pytest.mark.parametrize("baseline", ["plain", "multitask"])
+def test_a_baseline_checkpoint_records_the_run_seed(tmp_path, baseline):
+    quick_pipeline(baseline, tmp_path, data_seed=3, run_seed=7)
+    assert json.loads((tmp_path / "checkpoint.json").read_text())["seed"] == 7
+
+
 def test_pipeline_rejects_unknown_designator(tmp_path):
     with pytest.raises(StageError) as exc:
         quick_pipeline("frobnicate", tmp_path)

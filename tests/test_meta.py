@@ -472,10 +472,22 @@ def test_meta_train_custom_pool(small_arch, small_data):
 
 def test_meta_train_custom_sampler_object(small_arch, small_data):
     sampler = SamplerState("cl", rng=5)
-    cfg = quick_config(meta_updates=3)
+    cfg = quick_config(meta_updates=3, sampler="cl")
     _, log = meta_train(small_arch, cfg, small_data, sampler=sampler)
     assert all(r.sampler == "cl" for r in log.records)
     assert sampler.buffers  # outcomes were recorded into the caller's state
+
+
+def test_meta_train_rejects_a_sampler_of_another_kind(small_arch, small_data):
+    # the run log would name the state's kind, the checkpoint the config's
+    message = "config sampler random but sampler state mab"
+    cfg = quick_config(sampler="random")
+    with pytest.raises(ValueError, match=message):
+        meta_train(small_arch, cfg, small_data, sampler=SamplerState("mab"))
+    sampler = SamplerState("mab")
+    with pytest.raises(ValueError, match=message):
+        meta_train(small_arch, [quick_config(sampler="mab"), cfg], small_data, sampler=[None, sampler])
+    assert not sampler.buffers  # rejected before any update ran
 
 
 def test_meta_train_rejects_empty_pool(small_arch, small_data):

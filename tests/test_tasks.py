@@ -434,10 +434,30 @@ def test_derive_stream_deterministic_and_distinct():
 
 
 def test_derive_stream_rejects_negative_seeds():
-    # -1000 + 1000 * 1 would be seed 0's stream of worker 0
     with pytest.raises(ValueError, match="seed must be >= 0, got -1000"):
         derive_stream(-1000, 1)
-    assert np.array_equal(derive_stream(0, 1).random(3), derive_stream(1000, 0).random(3))
+    # worker -1 would be child 2 of the run seed, meta-training's sampler stream
+    with pytest.raises(ValueError, match="worker must be >= 0, got -1"):
+        derive_stream(0, -1)
+
+
+@pytest.mark.parametrize("seed, worker", [(0, 0), (0, 1), (7, 2), (1000, 0), (123456, 3)])
+def test_derive_stream_is_child_3_plus_worker_of_the_run_seed(seed, worker):
+    child = np.random.SeedSequence(seed).spawn(4 + worker)[3 + worker]
+    expected = np.random.default_rng(child).bit_generator.state
+    assert derive_stream(seed, worker).bit_generator.state == expected
+
+
+def test_every_stream_of_every_run_seed_is_distinct():
+    # children 0-2 are meta-training's init, episode and sampler streams
+    firsts = {}
+    for seed in (0, 1, 999, 1000, 2000):
+        children = np.random.SeedSequence(seed).spawn(3)
+        streams = [np.random.default_rng(c) for c in children]
+        streams += [derive_stream(seed, w) for w in range(4)]
+        for child, rng in enumerate(streams):
+            firsts[(seed, child)] = tuple(rng.integers(1 << 62, size=2).tolist())
+    assert len(set(firsts.values())) == len(firsts) == 35
 
 
 # -------------------------------------------------------------------- files
