@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -154,6 +155,7 @@ def cmd_fine_tune(args) -> int:
         learning_rate=args.learning_rate, batch_size=args.batch_size, epochs=args.epochs
     )
     tuned = fine_tune(model, task, data, ft, rng=derive_stream(args.seed, 1))
+    tuned = replace(tuned, provenance=replace(tuned.provenance, seed=args.seed))
     write_manifest(
         args.out,
         {"checkpoint.json": format_checkpoint(tuned)},

@@ -39,7 +39,6 @@ from .meta import (
     initial_params,
     meta_train,
     multitask_train,
-    stack_key,
 )
 from .nets import Architecture
 from .samplers import SamplerKind
@@ -122,9 +121,7 @@ class _Run:
                 params = initial_params(arch, self.run_seed)
                 model = TrainedModel(arch, params, Provenance({"baseline": "plain"}, self.run_seed))
             else:
-                rng = derive_stream(self.run_seed, 2)
-                model = multitask_train(arch, TASKS, data, MT_RATE, plan.mt_iterations, rng)
-                model = replace(model, provenance=Provenance({"baseline": "multitask"}, self.run_seed))
+                model = multitask_train(arch, TASKS, data, MT_RATE, plan.mt_iterations, self.run_seed)
         return model
 
     def finish(self, final, data) -> dict:
@@ -163,8 +160,8 @@ def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
     seed ``plan.run_seed + rep`` for every run.
 
     Generates the data and formats its TSVs once for every run, meta-trains
-    the meta runs in lockstep (one ``meta_train`` call per ``stack_key``) and
-    pretrains the baselines, fine-tunes every pretrained run in lockstep (one
+    the meta runs (one ``meta_train`` call, which stacks them) and pretrains
+    the baselines, fine-tunes every pretrained run in lockstep (one
     ``fine_tune`` call: the runs share the data and the mini-batch order),
     then scores each one and writes its directory.  Returns each run's result
     record or the StageError that stopped it; a stopped run writes nothing.
@@ -182,17 +179,10 @@ def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
     except StageError as e:
         return [e] * len(runs)
     arch = default_architecture(source.dim, plan.hidden)
-    stacks = {}
-    for i, run in enumerate(runs):
+    for run in runs:
         run.files.update(files)
-        if isinstance(run.recipe, MetaConfig):
-            stacks.setdefault(stack_key(run.recipe), []).append(i)
-    trained = {}
-    for members in stacks.values():
-        try:
-            trained.update(zip(members, meta_train(arch, [runs[i].recipe for i in members], data)))
-        except Exception as e:  # a failure of the whole call is every member's failure
-            trained.update(dict.fromkeys(members, e))
+    meta = [i for i, run in enumerate(runs) if isinstance(run.recipe, MetaConfig)]
+    trained = dict(zip(meta, meta_train(arch, [runs[i].recipe for i in meta], data))) if meta else {}
     outcomes = [None] * len(runs)
     models = {}
     for i, run in enumerate(runs):

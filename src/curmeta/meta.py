@@ -36,6 +36,7 @@ from .tasks import (
     TaskDefinition,
     _cell,
     check_types,
+    derive_stream,
     map_labels,
     sample_episode,
 )
@@ -385,13 +386,8 @@ def initial_params(arch: Architecture, seed: int) -> ParamVector:
     return nets.init_params(arch, np.random.default_rng(init_ss))
 
 
-# the fields every config of one lockstep meta-train must share
+# the fields every config of one lockstep stack shares
 STACK_FIELDS = ("n_tr", "n_val", "inner_steps", "adaptation_rate", "gradient_mode", "meta_updates")
-
-
-def stack_key(config: MetaConfig) -> tuple:
-    """Configs with equal keys can be meta-trained in one lockstep ``meta_train`` call."""
-    return tuple(getattr(config, name) for name in STACK_FIELDS)
 
 
 def meta_train(
@@ -410,25 +406,46 @@ def meta_train(
     episode draws derive their streams from it).  A caller's ``sampler`` must
     be of the config's sampler kind.
 
-    ``config`` may also be a sequence of configs that share a ``stack_key``
-    (a mixed sequence is rejected, naming the field), with ``sampler`` then
-    None or one entry per config.  They are meta-trained in lockstep: each
-    config selects and draws on its own streams, and the unroll, the query
-    gradient and the AUCs run once per update for all configs' episodes.  The
-    result is a list whose entry i equals ``meta_train(arch, config[i], ...)``
-    bit for bit, or is the exception that call would raise; such a config
-    leaves the stack and the others carry on.  One config is a stack of one.
+    ``config`` may also be a sequence of configs, checked whole before any
+    training, with ``sampler`` then None or one entry per config.  Configs that
+    share every ``STACK_FIELDS`` value are meta-trained in lockstep, one stack
+    at a time in order of first appearance: each config selects and draws on
+    its own streams, and the unroll, the query gradient and the AUCs run once
+    per update for the whole stack.  The result is a list whose entry i equals
+    ``meta_train(arch, config[i], ...)`` bit for bit, or is the exception that
+    call would raise (a failure of a whole stack is each member's); the other
+    configs carry on.  One config is a sequence of one.
     """
     if isinstance(config, MetaConfig):
-        [result] = _meta_train_lockstep(arch, [config], data, task_pool, [sampler])
+        [result] = meta_train(arch, [config], data, task_pool, [sampler])
         if isinstance(result, Exception):
             raise result
         return result
     configs = list(config)
     samplers = [None] * len(configs) if sampler is None else list(sampler)
+    if not configs:
+        raise ValueError("meta_train needs at least one config")
     if len(samplers) != len(configs):
         raise ValueError(f"{len(configs)} configs but {len(samplers)} samplers")
-    return _meta_train_lockstep(arch, configs, data, task_pool, samplers)
+    for c, state in zip(configs, samplers):
+        if state is not None and state.kind is not c.sampler:
+            raise ValueError(
+                f"config sampler {c.sampler.value} but sampler state {state.kind.value}"
+            )
+    stacks = {}  # STACK_FIELDS values -> the indices of their configs
+    for i, c in enumerate(configs):
+        stacks.setdefault(tuple(getattr(c, name) for name in STACK_FIELDS), []).append(i)
+    results = [None] * len(configs)
+    for members in stacks.values():
+        try:
+            outcomes = _meta_train_lockstep(
+                arch, [configs[i] for i in members], data, task_pool, [samplers[i] for i in members]
+            )
+        except Exception as e:  # a failure of the whole stack is every member's failure
+            outcomes = [e] * len(members)
+        for i, outcome in zip(members, outcomes):
+            results[i] = outcome
+    return results
 
 
 class _Learner:
@@ -480,19 +497,7 @@ class _Learner:
 
 
 def _meta_train_lockstep(arch, configs, data, task_pool, samplers) -> list:
-    if not configs:
-        raise ValueError("meta_train needs at least one config")
-    for name in STACK_FIELDS:
-        values = [getattr(c, name) for c in configs]
-        if any(v != values[0] for v in values):
-            raise ValueError(
-                f"configs meta-trained in lockstep must share {name}, got {values}"
-            )
-    for config, sampler in zip(configs, samplers):
-        if sampler is not None and sampler.kind is not config.sampler:
-            raise ValueError(
-                f"config sampler {config.sampler.value} but sampler state {sampler.kind.value}"
-            )
+    """One stack of ``meta_train``: checked configs that share every ``STACK_FIELDS`` value."""
     base_pool = list(task_pool if task_pool is not None else TASKS)
     results = [None] * len(configs)
     learners = [None] * len(configs)
@@ -700,20 +705,21 @@ def multitask_train(
     data: SplitDataset,
     learning_rate: float,
     iterations: int,
-    rng=0,
+    seed: int = 0,
 ) -> TrainedModel:
     """Joint training baseline: shared trunk, one output head per task.
 
     Every iteration samples ``MULTITASK_BATCH`` samples per task and descends
     the summed cross-entropy losses; the trunk accumulates all task gradients,
-    each head only its own.  The returned model is trunk plus K5's head.
+    each head only its own.  The returned model is trunk plus K5's head; it
+    draws on ``derive_stream(seed, 2)`` and its provenance records ``seed``.
     """
     pool = list(task_pool)
     if not pool:
         raise ValueError("task pool is empty")
     if K5 not in pool:
         raise ValueError(f"target task {K5.id} not in the pool")
-    rng = np.random.default_rng(rng)
+    rng = derive_stream(seed, 2)
 
     head_len = _head_length(arch)
     trunk_len = arch.param_count - head_len
@@ -740,7 +746,7 @@ def multitask_train(
             raise FloatingPointError("non-finite parameters during multi-task training")
 
     params = np.concatenate([trunk, heads[K5.id]])
-    return TrainedModel(arch, params, Provenance({"baseline": "multitask"}, 0, ""))
+    return TrainedModel(arch, params, Provenance({"baseline": "multitask"}, seed))
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -250,6 +250,16 @@ def test_fine_tune_and_evaluate_chain(tmp_path, data_dir, trained_dir, capsys):
     assert 0.0 <= result["auc"] <= 1.0
 
 
+def test_a_fine_tuned_checkpoint_records_the_fine_tune_seed(tmp_path, data_dir):
+    meta = ["--hidden", "6", "--meta-updates", "2", "--inner-steps", "2", "--meta-batch", "2"]
+    data = ["--data", str(data_dir)]
+    assert main(["meta-train", "--out", str(tmp_path / "meta"), *data, *meta, "--seed", "3"]) == 0
+    checkpoint = ["--checkpoint", str(tmp_path / "meta" / "checkpoint.json")]
+    assert main(["fine-tune", "--out", str(tmp_path / "ft"), *data, *checkpoint, "--epochs", "1", "--seed", "5"]) == 0
+    assert json.loads((tmp_path / "meta" / "checkpoint.json").read_text())["seed"] == 3
+    assert json.loads((tmp_path / "ft" / "checkpoint.json").read_text())["seed"] == 5
+
+
 def test_evaluate_other_task_and_split(tmp_path, data_dir, trained_dir, capsys):
     rc = main(
         [

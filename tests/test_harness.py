@@ -450,15 +450,21 @@ def test_run_sweep_run_dirs_equal_run_pipeline(tmp_path):
 
 
 def test_run_sweep_meta_trains_each_stack_once_per_repetition(tmp_path, monkeypatch):
-    from curmeta import harness
+    from curmeta import harness, meta
 
-    calls = []
+    calls, stacks = [], []
+    lockstep = meta._meta_train_lockstep
 
     def counting_meta_train(arch, configs, data, *args, **kwargs):
-        calls.append([(c.sampler.value, c.gradient_mode.value, c.seed) for c in configs])
+        calls.append(len(configs))
         return meta_train(arch, configs, data, *args, **kwargs)
 
+    def counting_lockstep(arch, configs, *args):
+        stacks.append([(c.sampler.value, c.gradient_mode.value, c.seed) for c in configs])
+        return lockstep(arch, configs, *args)
+
     monkeypatch.setattr(harness, "meta_train", counting_meta_train)
+    monkeypatch.setattr(meta, "_meta_train_lockstep", counting_lockstep)
     first_order = replace(QUICK_META, gradient_mode="first")
     variants = (
         Variant("second-random", CellKey("BSML", 2, "random"), meta=QUICK_META),
@@ -471,7 +477,8 @@ def test_run_sweep_meta_trains_each_stack_once_per_repetition(tmp_path, monkeypa
         variants, repetitions=2, run_seed=7, fine_tune=QUICK_FT, hidden=6, n_subjects=30
     )
     table = run_sweep(plan, tmp_path)
-    assert calls == [
+    assert calls == [4, 4]  # one meta_train call per repetition
+    assert stacks == [
         [("random", "second", 7), ("mab", "second", 7)],
         [("cl", "first", 7), ("random", "first", 7)],
         [("random", "second", 8), ("mab", "second", 8)],

@@ -94,3 +94,11 @@ def test_the_scan_sees_each_import_form(source):
 def test_the_scan_ignores_public_and_foreign_names():
     source = "import numpy as np\nfrom . import nets\nnp._x\nnets.grad\nself._views\n"
     assert private_reads("meta", source) == set()
+
+
+def test_the_package_root_imports_nothing_and_defines_the_version():
+    # every name is imported from its module, so the root re-exports nothing
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assigned = {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets}
+    assert "__version__" in assigned

@@ -7,8 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from curmeta import meta
 from curmeta.meta import (
     LOG_COLUMNS,
+    STACK_FIELDS,
     FineTuneConfig,
     GradientMode,
     MetaConfig,
@@ -36,6 +38,7 @@ from curmeta.tasks import (
     TASKS,
     PoolExhaustedError,
     SourceConfig,
+    derive_stream,
     generate_source,
     map_labels,
 )
@@ -488,6 +491,12 @@ def test_meta_train_rejects_a_sampler_of_another_kind(small_arch, small_data):
     with pytest.raises(ValueError, match=message):
         meta_train(small_arch, [quick_config(sampler="mab"), cfg], small_data, sampler=[None, sampler])
     assert not sampler.buffers  # rejected before any update ran
+    # the wrong state belongs to the second stack: the first stack never trains either
+    first = SamplerState("cl")
+    configs = [quick_config(sampler="cl"), quick_config(sampler="random", inner_steps=3, seed=1)]
+    with pytest.raises(ValueError, match=message):
+        meta_train(small_arch, configs, small_data, sampler=[first, SamplerState("mab")])
+    assert not first.buffers
 
 
 def test_meta_train_rejects_empty_pool(small_arch, small_data):
@@ -605,21 +614,58 @@ def test_meta_train_lockstep_row_with_empty_pool(small_arch, small_data):
     assert_same_training(together[1], meta_train(small_arch, configs[1], small_data, [K5]))
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("n_tr", 5),
-        ("n_val", 3),
-        ("inner_steps", 3),
-        ("adaptation_rate", 0.2),
-        ("gradient_mode", "first"),
-        ("meta_updates", 4),
-    ],
-)
-def test_meta_train_lockstep_rejects_mixed_stack_keys(small_arch, small_data, field, value):
-    configs = [quick_config(), quick_config(**{field: value}, seed=1)]
-    with pytest.raises(ValueError, match=f"must share {field}"):
-        meta_train(small_arch, configs, small_data)
+# one value per STACK_FIELDS field that differs from quick_config's
+STACK_CASES = {
+    "n_tr": 5,
+    "n_val": 3,
+    "inner_steps": 3,
+    "adaptation_rate": 0.2,
+    "gradient_mode": "first",
+    "meta_updates": 4,
+}
+
+
+@pytest.mark.parametrize("field, value", STACK_CASES.items())
+def test_meta_train_stacks_the_configs_that_share_every_stack_field(
+    small_arch, small_data, monkeypatch, field, value
+):
+    # the second config differs from the others in one field only
+    configs = [quick_config(), quick_config(**{field: value}, seed=1), quick_config(sampler="cl", seed=2)]
+    stacks = []
+    lockstep = meta._meta_train_lockstep
+
+    def recording(arch, stack, *args):
+        stacks.append([c.seed for c in stack])
+        return lockstep(arch, stack, *args)
+
+    assert set(STACK_CASES) == set(STACK_FIELDS)
+    monkeypatch.setattr(meta, "_meta_train_lockstep", recording)
+    together = meta_train(small_arch, configs, small_data)
+    assert stacks == [[0, 2], [1]]  # in order of first appearance
+    assert len(together) == len(configs)
+    for config, result in zip(configs, together):  # in input order
+        assert_same_training(result, meta_train(small_arch, config, small_data))
+
+
+def test_meta_train_a_failing_stack_is_its_members_entry(small_arch, small_data, monkeypatch):
+    configs = [quick_config(), quick_config(inner_steps=3, seed=1), quick_config(seed=2)]
+    configs.append(quick_config(inner_steps=3, seed=3))
+    error = RuntimeError("the whole stack failed")
+    lockstep = meta._meta_train_lockstep
+
+    def failing(arch, stack, *args):
+        if stack[0].inner_steps == 3:
+            raise error
+        return lockstep(arch, stack, *args)
+
+    monkeypatch.setattr(meta, "_meta_train_lockstep", failing)
+    together = meta_train(small_arch, configs, small_data)
+    with pytest.raises(RuntimeError, match="the whole stack failed"):
+        meta_train(small_arch, configs[1], small_data)  # one config raises its entry
+    monkeypatch.undo()
+    assert together[1] is error and together[3] is error
+    for i in (0, 2):  # the other stack carried on
+        assert_same_training(together[i], meta_train(small_arch, configs[i], small_data))
 
 
 def test_meta_train_lockstep_needs_a_config(small_arch, small_data):
@@ -750,10 +796,11 @@ def test_fine_tune_lockstep_validates_models(small_arch, small_data):
 def test_multitask_single_task_pool_is_plain_sgd(small_arch, small_data):
     lr, iters, bs, seed = 0.05, 6, 4, 13
     model = multitask_train(
-        small_arch, [K5], small_data, learning_rate=lr, iterations=iters, rng=seed
+        small_arch, [K5], small_data, learning_rate=lr, iterations=iters, seed=seed
     )
+    assert model.provenance == Provenance({"baseline": "multitask"}, seed)
 
-    rng = np.random.default_rng(seed)
+    rng = derive_stream(seed, 2)
     params = init_params(small_arch, rng)
     full = map_labels(K5, small_data.train)
     n = len(full)
@@ -765,9 +812,9 @@ def test_multitask_single_task_pool_is_plain_sgd(small_arch, small_data):
 
 
 def test_multitask_deterministic(small_arch, small_data):
-    a = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, rng=3)
-    b = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, rng=3)
-    c = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, rng=4)
+    a = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=3)
+    b = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=3)
+    c = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=4)
     assert np.array_equal(a.params, b.params)
     assert not np.array_equal(a.params, c.params)
 
@@ -786,9 +833,9 @@ def test_multitask_target_head_selected(small_arch, small_data):
     from curmeta.tasks import K1
 
     lr, iters, bs, seed = 0.05, 3, 4, 5
-    model = multitask_train(small_arch, [K1, K5], small_data, lr, iters, rng=seed)
+    model = multitask_train(small_arch, [K1, K5], small_data, lr, iters, seed=seed)
 
-    rng = np.random.default_rng(seed)
+    rng = derive_stream(seed, 2)
     head_len = (small_arch.layer_widths[-2] + 1) * small_arch.layer_widths[-1]
     trunk_len = small_arch.param_count - head_len
     first = init_params(small_arch, rng)

@@ -26,7 +26,6 @@ ALLOWED = {
     ("meta", "_Learner.__init__"),  # children 1 and 2
     # default_rng(rng): a caller's seed or generator as a generator
     ("meta", "fine_tune"),
-    ("meta", "multitask_train"),
     ("samplers", "SamplerState.__init__"),
 }
 
