@@ -6,8 +6,8 @@ with the benchmark's own ``tree_digest`` (perfbench/workloads.py, loaded from
 its file as tests/test_traced_names.py loads the tracer) and cover the
 second-order curriculum pipeline, the first-order bandit pipeline, a
 default-plan sweep, whose fine-tune is a lockstep stack of 13 models, and the
-CLI's stage chain (generate, meta-train, fine-tune, evaluate), each stage
-reading the files of the stage before.  The same digests hold with BLAS at one thread and at its default thread count.
+CLI's stage chain (generate, meta-train, fine-tune, evaluate, curves), each
+stage reading the files of a stage before.  The same digests hold with BLAS at one thread and at its default thread count.
 
 The run logs and the generated data are pinned on their own: they come from
 the data seed's stream and meta-training's streams (children 0-2 of the run
@@ -83,6 +83,7 @@ CLI_DIGESTS = {
     "meta-train": "652ea0de0e6d364da021274957b19960a83bf42c363754d66a96c48ca9b59559",
     "fine-tune": "53b3c97ec403a0d092e25b940573845131d3e855023d4a98351c429ac0d7f8d1",
     "evaluate": "6b929fb4ca5f8a5d52e80b303e11121bf4328232bc579f636b5be93c1324e3c1",
+    "curves": "562092aea65890d76f6ab1f286ff53580f6d018254ddcb19b58920545a75c152",
 }
 
 
@@ -94,6 +95,7 @@ def test_cli_stage_chain_keeps_its_artifact_bytes(tmp_path, monkeypatch):
         "meta-train": ["--data", str(data), "--hidden", "8", "--meta-updates", "30", "--sampler", "cl"],
         "fine-tune": ["--data", str(data), "--checkpoint", str(meta / "checkpoint.json"), "--epochs", "20"],
         "evaluate": ["--data", str(data), "--checkpoint", str(tuned / "checkpoint.json")],
+        "curves": ["--log", str(meta / "run_log.tsv"), "--window", "7"],
     }
     digests = {}
     for command, flags in commands.items():
