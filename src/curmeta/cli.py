@@ -17,22 +17,22 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
-    CURVE_WINDOW,
     DEFAULT_HIDDEN,
     ExperimentPlan,
     StageError,
     default_architecture,
     default_plan,
-    emit_curves,
     run_sweep,
     stage,
     write_manifest,
 )
 from .meta import (
+    CURVE_WINDOW,
     FineTuneConfig,
     MetaConfig,
     RunLog,
     config_to_dict,
+    emit_curves,
     fine_tune,
     format_checkpoint,
     infer,

@@ -1,12 +1,12 @@
 """Experiment pipeline and sweep orchestration.
 
-A pipeline run is generate -> pretrain -> fine-tune -> evaluate: synthesize
-the subject-split source data, optionally pretrain an initialization (via
-meta-training or the joint multi-task baseline), fine-tune on the target
-task, and score the fine-tuned model on the held-out test split.  A run
-directory is written once, by ``write_manifest``, when its run completes: its
-artifacts plus a manifest listing the relative path and sha256 of each, with
-no timestamps, so identical inputs produce byte-identical output trees.
+A pipeline run is generate -> pretrain -> fine-tune -> evaluate -> write:
+synthesize the subject-split source data, optionally pretrain an
+initialization (via meta-training or the joint multi-task baseline),
+fine-tune on the target task, and score the fine-tuned model on the held-out
+test split.  A run directory is written once, by ``write_manifest``, when its
+run completes: its artifacts plus a manifest listing the relative path and
+sha256 of each, with no timestamps, so identical inputs give byte-identical trees.
 
 A sweep runs a plan of variants over paired repetition seeds (repetition r
 uses the same data and run seed for every variant) and aggregates test AUC
@@ -30,7 +30,6 @@ from .meta import (
     FineTuneConfig,
     MetaConfig,
     Provenance,
-    RunLog,
     TrainedModel,
     config_to_dict,
     fine_tune,
@@ -47,7 +46,7 @@ from .tasks import (
     SPLIT_FILES,
     SourceConfig,
     TASKS,
-    check_types,
+    check_fields,
     derive_stream,
     format_split_dataset,
     generate_source,
@@ -66,7 +65,6 @@ class StageError(RuntimeError):
 BASELINE_KINDS = ("plain", "multitask")
 DEFAULT_HIDDEN = 24
 MT_RATE = 0.01  # learning rate of the multi-task baseline
-CURVE_WINDOW = 100  # meta-updates per sampling-histogram row
 
 
 def default_architecture(dim: int, hidden: int = DEFAULT_HIDDEN) -> Architecture:
@@ -126,7 +124,7 @@ class _Run:
 
     def finish(self, final, data) -> dict:
         """Checkpoint and score the fine-tuned model and write the run directory
-        (or re-raise its fine-tune failure, writing nothing)."""
+        (stage ``write``), or re-raise its fine-tune failure, writing nothing."""
         with stage("fine-tune"):
             if isinstance(final, Exception):
                 raise final
@@ -145,12 +143,13 @@ class _Run:
             "config": config_to_dict(self.recipe) if meta else {},
         }
         self.files["result.json"] = json.dumps(result, indent=2, sort_keys=True) + "\n"
-        write_manifest(
-            self.out_dir,
-            self.files,
-            config=result["config"] if result["config"] else {"pretrain": kind},
-            seeds={"data_seed": self.data_seed, "run_seed": self.run_seed},
-        )
+        with stage("write"):
+            write_manifest(
+                self.out_dir,
+                self.files,
+                config=result["config"] if result["config"] else {"pretrain": kind},
+                seeds={"data_seed": self.data_seed, "run_seed": self.run_seed},
+            )
         return result
 
 
@@ -164,7 +163,7 @@ def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
     the baselines, fine-tunes every pretrained run in lockstep (one
     ``fine_tune`` call: the runs share the data and the mini-batch order),
     then scores each one and writes its directory.  Returns each run's result
-    record or the StageError that stopped it; a stopped run writes nothing.
+    record or the StageError that stopped it; a run stopped before ``write`` writes nothing.
     """
     if not runs:
         return []
@@ -191,11 +190,7 @@ def _run_repetition(plan: ExperimentPlan, rep: int, runs) -> list:
         except StageError as e:
             outcomes[i] = e
     if models:
-        try:
-            rng = derive_stream(run_seed, 1)
-            tuned = fine_tune(list(models.values()), K5, data, plan.fine_tune, rng=rng)
-        except Exception as e:  # a failure of the whole call is every run's failure
-            tuned = [e] * len(models)
+        tuned = fine_tune(list(models.values()), K5, data, plan.fine_tune, rng=derive_stream(run_seed, 1))
         for i, final in zip(models, tuned):
             try:
                 outcomes[i] = runs[i].finish(final, data)
@@ -378,19 +373,19 @@ class ExperimentPlan:
         labels = [v.label for v in self.variants]
         if len(set(labels)) != len(labels):
             raise ValueError("variant labels must be unique")
-        check_types(
+        check_fields(
             self,
-            integers=("repetitions", "data_seed", "run_seed", "hidden", "n_subjects", "mt_iterations"),
+            integers={
+                "repetitions": 1,
+                "data_seed": 0,
+                "run_seed": 0,
+                "hidden": 1,
+                "n_subjects": None,  # the generate stage checks it
+                "mt_iterations": 0,
+            },
         )
         if not isinstance(self.fine_tune, FineTuneConfig):
             raise ValueError(f"fine_tune must be a FineTuneConfig, got {self.fine_tune!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        for name in ("data_seed", "run_seed", "mt_iterations"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 GRID_SAMPLERS = (SamplerKind.RANDOM, SamplerKind.ALL_TASK, SamplerKind.MAB, SamplerKind.CL)
@@ -510,42 +505,3 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
         seeds={"data_seed": plan.data_seed, "run_seed": plan.run_seed},
     )
     return table
-
-
-# --- learning-curve extraction --------------------------------------------------
-
-def emit_curves(log: RunLog, window: int = CURVE_WINDOW) -> dict[str, str]:
-    """Per-task observation curves and a selection histogram of a run log, as texts.
-
-    task_curves.tsv has one row per sampled episode (iteration, task, AUC
-    before and after adaptation, observation, reward).  sampling_histogram.tsv
-    counts how often each task was selected per window of iterations.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    for r in log.records:
-        n = len(r.tasks)
-        if not (len(r.auc_before) == len(r.auc_after) == len(r.observations) == len(r.rewards) == n):
-            raise ValueError(f"malformed run log: ragged record at iteration {r.iteration}")
-
-    curves = ["iteration\ttask\tauc_before\tauc_after\tobservation\treward"]
-    for r in log.records:
-        for i, task in enumerate(r.tasks):
-            curves.append(
-                f"{r.iteration}\t{task}\t{r.auc_before[i]:.17g}\t{r.auc_after[i]:.17g}"
-                f"\t{r.observations[i]:.17g}\t{r.rewards[i]:.17g}"
-            )
-
-    task_ids = sorted({t for r in log.records for t in r.tasks})
-    hist = ["\t".join(["window_start", "window_end", *task_ids])]
-    if log.records:
-        last = max(r.iteration for r in log.records)
-        for start in range(1, last + 1, window):
-            end = min(start + window - 1, last)
-            counts = {t: 0 for t in task_ids}
-            for r in log.records:
-                if start <= r.iteration <= end:
-                    for t in r.tasks:
-                        counts[t] += 1
-            hist.append(f"{start}\t{end}\t" + "\t".join(str(counts[t]) for t in task_ids))
-    return {"task_curves.tsv": "\n".join(curves) + "\n", "sampling_histogram.tsv": "\n".join(hist) + "\n"}

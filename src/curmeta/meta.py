@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -35,7 +36,7 @@ from .tasks import (
     TASKS,
     TaskDefinition,
     _cell,
-    check_types,
+    check_fields,
     derive_stream,
     map_labels,
     sample_episode,
@@ -66,23 +67,18 @@ class MetaConfig:
     def __post_init__(self):
         object.__setattr__(self, "sampler", SamplerKind(self.sampler))
         object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
-        check_types(
+        check_fields(
             self,
-            reals=("adaptation_rate", "meta_rate"),
-            integers=("meta_updates", "inner_steps", "n_tr", "n_val", "meta_batch_size", "seed"),
+            reals={"adaptation_rate": 0, "meta_rate": 0},
+            integers={
+                "meta_updates": 0,
+                "inner_steps": 1,
+                "n_tr": 2,  # both labels in every support and query set
+                "n_val": 2,
+                "meta_batch_size": 1,
+                "seed": 0,
+            },
         )
-        if self.adaptation_rate < 0 or self.meta_rate < 0:
-            raise ValueError("learning rates must be >= 0")
-        if self.meta_updates < 0:
-            raise ValueError(f"meta_updates must be >= 0, got {self.meta_updates}")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        if self.n_tr < 2 or self.n_val < 2:
-            raise ValueError("n_tr and n_val must be >= 2 (both labels per set)")
-        if self.meta_batch_size < 1:
-            raise ValueError(f"meta_batch_size must be >= 1, got {self.meta_batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -94,13 +90,9 @@ class FineTuneConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        check_types(self, reals=("learning_rate",), integers=("batch_size", "epochs"))
+        check_fields(self, reals={"learning_rate": None}, integers={"batch_size": 1, "epochs": 0})
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,8 @@ class RunLog:
 
     @classmethod
     def from_tsv(cls, text: str) -> "RunLog":
-        """Parse ``to_tsv`` output; a bad cell fails as ``line N: <column> must be ...``."""
+        """Parse ``to_tsv`` output; a bad cell fails as ``line N: <column> must be ...``,
+        and so does an iteration out of the order 1, 2, 3, ... or a ragged row."""
         lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line]
         if not lines or lines[0][1] != "\t".join(LOG_COLUMNS):
             raise ValueError("malformed run log: bad or missing header")
@@ -350,23 +343,48 @@ class RunLog:
             if len(parts) != len(LOG_COLUMNS):
                 raise ValueError(f"malformed run log: line {ln} has {len(parts)} fields")
             try:
-                record = MetaUpdateRecord(
-                    iteration=cell(parts, 0, int, "an integer"),
-                    sampler=parts[1],
-                    tasks=tuple(parts[2].split(",")) if parts[2] else (),
-                    auc_before=cell(parts, 3, floats, "comma-separated numbers"),
-                    auc_after=cell(parts, 4, floats, "comma-separated numbers"),
-                    observations=cell(parts, 5, floats, "comma-separated numbers"),
-                    rewards=cell(parts, 6, floats, "comma-separated numbers"),
-                    grad_norm=cell(parts, 7, float, "a number"),
-                )
+                iteration = cell(parts, 0, int, "an integer")
+                if iteration != len(records) + 1:
+                    raise ValueError(f"iteration must be {len(records) + 1}, got {iteration}")
+                tasks = tuple(parts[2].split(",")) if parts[2] else ()
+                per_task = [cell(parts, i, floats, "comma-separated numbers") for i in range(3, 7)]
+                for column, v in zip(LOG_COLUMNS[3:7], per_task):
+                    if len(v) != len(tasks):
+                        raise ValueError(f"{column} must hold one value per task ({len(tasks)}), got {len(v)}")
+                grad_norm = cell(parts, 7, float, "a number")
             except ValueError as e:
                 raise ValueError(f"malformed run log: line {ln}: {e}") from None
-            records.append(record)
+            records.append(MetaUpdateRecord(iteration, parts[1], tasks, *per_task, grad_norm))
         return cls(tuple(records))
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_tsv().encode()).hexdigest()
+
+
+CURVE_WINDOW = 100  # meta-updates per sampling-histogram row
+
+
+def emit_curves(log: RunLog, window: int = CURVE_WINDOW) -> dict[str, str]:
+    """Per-task observation curves and a selection histogram of a run log, as texts.
+
+    task_curves.tsv has one row per sampled episode (iteration, task, AUC
+    before and after adaptation, observation, reward).  sampling_histogram.tsv
+    counts each task's picks per window: a slice of the records, which run 1, 2, ...
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    curves = ["iteration\ttask\tauc_before\tauc_after\tobservation\treward"]
+    for r in log.records:
+        for task, *values in zip(r.tasks, r.auc_before, r.auc_after, r.observations, r.rewards):
+            curves.append("\t".join([str(r.iteration), task, *(f"{x:.17g}" for x in values)]))
+
+    task_ids = sorted({t for r in log.records for t in r.tasks})
+    hist = ["\t".join(["window_start", "window_end", *task_ids])]
+    for start in range(0, len(log.records), window):
+        records = log.records[start : start + window]
+        counts = Counter(t for r in records for t in r.tasks)
+        hist.append(f"{start + 1}\t{start + len(records)}\t" + "\t".join(str(counts[t]) for t in task_ids))
+    return {"task_curves.tsv": "\n".join(curves) + "\n", "sampling_histogram.tsv": "\n".join(hist) + "\n"}
 
 
 # --- meta-training --------------------------------------------------------------
@@ -595,7 +613,7 @@ def fine_tune(
     data: SplitDataset,
     config: FineTuneConfig,
     rng=0,
-) -> TrainedModel | list[TrainedModel | FloatingPointError]:
+) -> TrainedModel | list[TrainedModel | Exception]:
     """Mini-batch gradient descent on the mapped training split.
 
     Returns the parameter snapshot with the highest validation AUC over all
@@ -611,18 +629,27 @@ def fine_tune(
     the stacked forward and backward passes (``nets._trace`` and
     ``nets._backward``) and an in-place update.  The result is a list whose
     entry b equals ``fine_tune(model[b], ...)`` on the same seed bit for bit,
-    or is the ``FloatingPointError`` that call would raise; such a model
-    leaves the stack and the others carry on.  One model is a stack of one.
+    or is the exception that call would raise: a failure of the whole call
+    (a one-class validation split) is every model's, and a model whose params
+    go non-finite leaves the stack.  One model is a stack of one.
     """
+    models = [model] if isinstance(model, TrainedModel) else list(model)
+    if not models:
+        raise ValueError("fine_tune needs at least one model")
+    if any(m.arch != models[0].arch for m in models):
+        raise ValueError("models fine-tuned in lockstep must share one architecture")
     rng = np.random.default_rng(rng)
-    train = map_labels(target_task, data.train)
-    val = map_labels(target_task, data.validation)
+    try:
+        train = map_labels(target_task, data.train)
+        val = map_labels(target_task, data.validation)
+        results = _fine_tune_lockstep(models, train, val, config, rng)
+    except Exception as e:  # a failure of the whole call is every model's failure
+        results = [e] * len(models)
     if not isinstance(model, TrainedModel):
-        return _fine_tune_lockstep(list(model), train, val, config, rng)
-    [result] = _fine_tune_lockstep([model], train, val, config, rng)
-    if isinstance(result, FloatingPointError):
-        raise result
-    return result
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> TrainedModel:
@@ -635,11 +662,7 @@ def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> 
 
 
 def _fine_tune_lockstep(models, train, val, config, rng) -> list:
-    if not models:
-        raise ValueError("fine_tune needs at least one model")
     arch = models[0].arch
-    if any(m.arch != arch for m in models):
-        raise ValueError("models fine-tuned in lockstep must share one architecture")
 
     def val_aucs(p):
         inputs = np.broadcast_to(val.inputs, (len(p),) + val.inputs.shape)

@@ -32,8 +32,10 @@ SPLIT_WEIGHTS = (45, 13, 59)  # train : validation : test subject proportions
 MIN_SUBJECTS_PER_SPLIT = 2
 
 
-def check_types(config, reals=(), integers=()):
-    """Reject non-finite or non-numeric ``reals`` and ``integers`` that are not plain ints."""
+def check_fields(config, reals=None, integers=None):
+    """Check the {name: least} fields of ``config``: ``reals`` are finite numbers and
+    ``integers`` ints, and each is at least its least value (None: no bound)."""
+    reals, integers = reals or {}, integers or {}
     for name in reals:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -42,6 +44,10 @@ def check_types(config, reals=(), integers=()):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, least in {**reals, **integers}.items():
+        value = getattr(config, name)
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 class PoolExhaustedError(RuntimeError):
@@ -175,11 +181,7 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_types(self, integers=("dim", "seed"))
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2 for the class mean layout, got {self.dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, integers={"dim": 2, "seed": 0})  # dim 2: the class mean layout
 
 
 @dataclass(frozen=True)

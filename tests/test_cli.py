@@ -15,8 +15,8 @@ import pytest
 
 import curmeta
 from curmeta.cli import build_meta_config, build_parser, main
-from curmeta.harness import default_plan, emit_curves
-from curmeta.meta import FineTuneConfig, MetaConfig, RunLog, load_checkpoint
+from curmeta.harness import default_plan
+from curmeta.meta import FineTuneConfig, MetaConfig, RunLog, emit_curves, load_checkpoint
 from curmeta.tasks import SourceConfig
 
 # dim-4 source seed 2 keeps both target labels in every split at 30 subjects
@@ -490,6 +490,20 @@ def test_curves_names_the_log_line_and_column_of_a_bad_cell(tmp_path, trained_di
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"[curves] {bad}: malformed run log: line 2: iteration must be an integer")
+    assert not (tmp_path / "o").exists()
+
+
+def test_curves_rejects_a_ragged_log_naming_the_line_and_column(tmp_path, trained_dir, capsys):
+    lines = (trained_dir / "run_log.tsv").read_text().splitlines()
+    parts = lines[1].split("\t")
+    parts[4] = parts[4].split(",")[0]  # one auc_after value for a meta-batch of two
+    lines[1] = "\t".join(parts)
+    bad = tmp_path / "ragged.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["curves", "--out", str(tmp_path / "o"), "--log", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"[curves] {bad}: malformed run log: line 2: auc_after must hold one value per task (2), got 1\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -16,12 +16,11 @@ from curmeta.harness import (
     Variant,
     default_architecture,
     default_plan,
-    emit_curves,
     run_pipeline,
     run_sweep,
     write_manifest,
 )
-from curmeta.meta import FineTuneConfig, MetaConfig, MetaUpdateRecord, RunLog, meta_train
+from curmeta.meta import FineTuneConfig, MetaConfig, RunLog, emit_curves, meta_train
 from curmeta.tasks import SourceConfig, format_samples, generate_source
 
 SMALL_SOURCE = SourceConfig(dim=4, seed=2)  # every split holds both target labels
@@ -168,6 +167,52 @@ def test_pipeline_wraps_non_finite_fine_tune(tmp_path):
     assert str(exc.value) == "[fine-tune] non-finite parameters during fine-tuning"
     assert not (tmp_path / "checkpoint.json").exists()
     assert not any(tmp_path.iterdir())  # a failed run writes nothing
+
+
+def test_run_pipeline_into_a_file_fails_the_write_stage(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    with pytest.raises(StageError) as exc:
+        quick_pipeline("plain", taken)
+    assert exc.value.stage == "write"
+    assert taken.read_text() == "not a directory\n"
+
+
+def empty_plan(**settings):
+    return ExperimentPlan((), **settings)
+
+
+# every config field with a least value: (config, field) -> (least, one below it)
+BOUNDED_FIELDS = {
+    (MetaConfig, "adaptation_rate"): (0, -0.5),
+    (MetaConfig, "meta_rate"): (0, -0.5),
+    (MetaConfig, "meta_updates"): (0, -1),
+    (MetaConfig, "inner_steps"): (1, 0),
+    (MetaConfig, "n_tr"): (2, 1),
+    (MetaConfig, "n_val"): (2, 1),
+    (MetaConfig, "meta_batch_size"): (1, 0),
+    (MetaConfig, "seed"): (0, -1),
+    (FineTuneConfig, "batch_size"): (1, 0),
+    (FineTuneConfig, "epochs"): (0, -1),
+    (SourceConfig, "dim"): (2, 1),
+    (SourceConfig, "seed"): (0, -1),
+    (empty_plan, "repetitions"): (1, 0),
+    (empty_plan, "data_seed"): (0, -1),
+    (empty_plan, "run_seed"): (0, -1),
+    (empty_plan, "hidden"): (1, 0),
+    (empty_plan, "mt_iterations"): (0, -1),
+}
+
+
+@pytest.mark.parametrize(
+    "make, name", list(BOUNDED_FIELDS), ids=[f"{make.__name__}.{name}" for make, name in BOUNDED_FIELDS]
+)
+def test_every_bounded_config_field_fails_naming_its_least_value(make, name):
+    least, below = BOUNDED_FIELDS[make, name]
+    assert getattr(make(**{name: least}), name) == least
+    with pytest.raises(ValueError) as exc:
+        make(**{name: below})
+    assert str(exc.value) == f"{name} must be >= {least}, got {below!r}"
 
 
 def test_run_pipeline_rejects_bad_settings_naming_them(tmp_path, monkeypatch):
@@ -507,6 +552,18 @@ def test_run_sweep_captures_per_repetition_failures(tmp_path):
     assert (tmp_path / "runs" / "plain" / "rep0" / "manifest.json").is_file()
 
 
+def test_run_sweep_records_an_unwritable_run_directory_and_carries_on(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "plain").write_text("a file where a run directory goes\n")
+    table = run_sweep(small_plan(), tmp_path)
+    cell = table.cell("Plain", 0, "")
+    assert cell.n == 0
+    assert [e.split(" ", 2)[:2] for e in cell.errors] == [["rep0:", "[write]"], ["rep1:", "[write]"]]
+    assert table.cell("BSML", 2, "random").n == 2  # the other runs were written
+    assert (tmp_path / "runs" / "meta-quick" / "rep1" / "manifest.json").is_file()
+    assert ResultTable.parse((tmp_path / "results.json").read_text()) == table
+
+
 def test_run_sweep_records_generate_failures_for_every_variant(tmp_path):
     table = run_sweep(small_plan(n_subjects=5), tmp_path)  # fewer than 2 subjects per split
     for model, mb, sampler in (("BSML", 2, "random"), ("Plain", 0, "")):
@@ -582,14 +639,6 @@ def test_emit_curves_empty_log():
         "iteration\ttask\tauc_before\tauc_after\tobservation\treward"
     ]
     assert texts["sampling_histogram.tsv"].splitlines() == ["window_start\twindow_end"]
-
-
-def test_emit_curves_rejects_ragged_records():
-    ragged = RunLog(
-        (MetaUpdateRecord(1, "cl", ("K1", "K2"), (0.5,), (0.6,), (0.1,), (0.1,), 1.0),)
-    )
-    with pytest.raises(ValueError, match="ragged"):
-        emit_curves(ragged)
 
 
 def test_emit_curves_rejects_bad_window(curve_log):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,13 +32,16 @@ from curmeta.meta import (
     positive_probability,
     save_checkpoint,
 )
+from curmeta.metrics import DegenerateAucError
 from curmeta.nets import Architecture, Batch, batch_loss, forward, grad, init_params, softmax
 from curmeta.samplers import SamplerState
 from curmeta.tasks import (
     K5,
     TASKS,
     PoolExhaustedError,
+    Samples,
     SourceConfig,
+    SplitDataset,
     derive_stream,
     generate_source,
     map_labels,
@@ -347,6 +351,33 @@ def test_run_log_names_the_line_and_column_of_a_bad_cell(column, value, expected
     lines[2] = "\t".join(parts)
     with pytest.raises(ValueError, match="malformed run log: " + re.escape(expected)):
         RunLog.from_tsv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column", ["auc_before", "auc_after", "observation", "reward"])
+def test_run_log_rejects_a_row_without_one_value_per_task(column):
+    lines = sample_log().to_tsv().splitlines()
+    parts = lines[1].split("\t")
+    i = LOG_COLUMNS.index(column)
+    parts[i] = parts[i].split(",")[0]  # one value for the two tasks K1, K3
+    lines[1] = "\t".join(parts)
+    expected = f"malformed run log: line 2: {column} must hold one value per task (2), got 1"
+    with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+        RunLog.from_tsv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        (1, 3, "line 3: iteration must be 2, got 3"),
+        (2, 3, "line 2: iteration must be 1, got 2"),
+        (1, 1, "line 3: iteration must be 2, got 1"),
+    ],
+)
+def test_run_log_rejects_iterations_out_of_order(first, second, expected):
+    a, b = sample_log().records
+    text = RunLog((replace(a, iteration=first), replace(b, iteration=second))).to_tsv()
+    with pytest.raises(ValueError, match="^malformed run log: " + re.escape(expected) + "$"):
+        RunLog.from_tsv(text)
 
 
 def test_run_log_errors_count_blank_lines():
@@ -780,6 +811,22 @@ def test_fine_tune_of_one_model_is_plain_minibatch_sgd(small_data, hidden, activ
     assert np.array_equal(fine_tune(model, K5, small_data, LOCKSTEP_FT, rng=3).params, expected)
     [alone] = fine_tune([model], K5, small_data, LOCKSTEP_FT, rng=3)
     assert np.array_equal(alone.params, expected)
+
+
+def test_fine_tune_lockstep_returns_a_failure_of_the_whole_call_as_every_entry(small_arch, small_data):
+    val = small_data.validation
+    negatives = val.classes == 0  # a K5 validation split with one class
+    data = SplitDataset(
+        small_data.train,
+        Samples(val.features[negatives], val.classes[negatives], val.subjects[negatives]),
+        small_data.test,
+    )
+    models = tuning_models(small_arch, 2, seed=0)
+    together = fine_tune(models, K5, data, LOCKSTEP_FT, rng=1)
+    assert len(together) == 2
+    assert all(isinstance(entry, DegenerateAucError) for entry in together)
+    with pytest.raises(DegenerateAucError):
+        fine_tune(models[0], K5, data, LOCKSTEP_FT, rng=1)
 
 
 def test_fine_tune_lockstep_validates_models(small_arch, small_data):
