@@ -20,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import compute_auc
 from .meta import (
+    MULTITASK_RATE,
     FineTuneConfig,
     MetaConfig,
     Provenance,
@@ -64,7 +65,6 @@ class StageError(RuntimeError):
 
 BASELINE_KINDS = ("plain", "multitask")
 DEFAULT_HIDDEN = 24
-MT_RATE = 0.01  # learning rate of the multi-task baseline
 
 
 def default_architecture(dim: int, hidden: int = DEFAULT_HIDDEN) -> Architecture:
@@ -119,7 +119,7 @@ class _Run:
                 params = initial_params(arch, self.run_seed)
                 model = TrainedModel(arch, params, Provenance({"baseline": "plain"}, self.run_seed))
             else:
-                model = multitask_train(arch, TASKS, data, MT_RATE, plan.mt_iterations, self.run_seed)
+                model = multitask_train(arch, data, plan.mt_iterations, self.run_seed)
         return model
 
     def finish(self, final, data) -> dict:
@@ -250,33 +250,17 @@ class ResultTable:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        keys = [k for k, _ in self.cells]
-        if len(set(keys)) != len(keys):
+        object.__setattr__(self, "_index", dict(self.cells))
+        if len(self._index) != len(self.cells):
             raise ValueError("duplicate cell keys in result table")
 
     def cell(self, model: str, meta_batch: int, sampler: str) -> Cell:
-        key = CellKey(model, meta_batch, sampler)
-        for k, c in self.cells:
-            if k == key:
-                return c
-        raise KeyError(key)
+        return self._index[CellKey(model, meta_batch, sampler)]
 
     def emit(self) -> str:
         doc = {
             "format": "curmeta-results-v1",
-            "cells": [
-                {
-                    "model": k.model,
-                    "meta_batch": k.meta_batch,
-                    "sampler": k.sampler,
-                    "mean": c.mean,
-                    "std": c.std,
-                    "n": c.n,
-                    "errors": list(c.errors),
-                    "na": c.na,
-                }
-                for k, c in self.cells
-            ],
+            "cells": [{**asdict(k), **asdict(c)} for k, c in self.cells],  # every field of key and cell
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -296,17 +280,10 @@ class ResultTable:
 
     def render_text(self) -> str:
         """Fixed-width text table: sampler columns for the meta grid, then baselines."""
-        grid_rows = []  # (model, meta_batch) in first-appearance order
-        samplers = []
-        baselines = []
-        for k, _ in self.cells:
-            if k.sampler:
-                if (k.model, k.meta_batch) not in grid_rows:
-                    grid_rows.append((k.model, k.meta_batch))
-                if k.sampler not in samplers:
-                    samplers.append(k.sampler)
-            else:
-                baselines.append(k)
+        grid = [k for k, _ in self.cells if k.sampler]
+        grid_rows = list(dict.fromkeys((k.model, k.meta_batch) for k in grid))  # in first-appearance order
+        samplers = list(dict.fromkeys(k.sampler for k in grid))
+        baselines = [(k, c) for k, c in self.cells if not k.sampler]
 
         def fmt(c: Cell) -> str:
             if c.na:
@@ -323,17 +300,15 @@ class ResultTable:
             for model, mb in grid_rows:
                 row = [model.ljust(16), str(mb).ljust(5)]
                 for s in samplers:
-                    try:
-                        row.append(fmt(self.cell(model, mb, s)).ljust(width))
-                    except KeyError:
-                        row.append("-".ljust(width))
+                    cell = self._index.get(CellKey(model, mb, s))
+                    row.append(("-" if cell is None else fmt(cell)).ljust(width))
                 lines.append("".join(row).rstrip())
         if baselines:
             if lines:
                 lines.append("")
             lines.append("baseline".ljust(21) + "test AUC")
-            for k in baselines:
-                lines.append(k.model.ljust(21) + fmt(self.cell(k.model, k.meta_batch, k.sampler)))
+            for k, c in baselines:
+                lines.append(k.model.ljust(21) + fmt(c))
         return "\n".join(lines) + "\n"
 
 
@@ -370,9 +345,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
-        labels = [v.label for v in self.variants]
-        if len(set(labels)) != len(labels):
-            raise ValueError("variant labels must be unique")
+        for name in ("label", "cell"):
+            values = [getattr(v, name) for v in self.variants]
+            if len(set(values)) != len(values):
+                raise ValueError(f"variant {name}s must be unique")
         check_fields(
             self,
             integers={
@@ -388,7 +364,13 @@ class ExperimentPlan:
             raise ValueError(f"fine_tune must be a FineTuneConfig, got {self.fine_tune!r}")
 
 
-GRID_SAMPLERS = (SamplerKind.RANDOM, SamplerKind.ALL_TASK, SamplerKind.MAB, SamplerKind.CL)
+# the meta rows of the grid, each under every sampler:
+# (table model, label prefix, meta-batch, exclude the target task)
+GRID_ROWS = (
+    ("BSML", "bsml-k", 3, False),
+    ("BSML", "bsml-k", 5, False),
+    ("BSML-NS", "bsml-ns-k", len(TASKS) - 1, True),
+)
 
 
 def default_plan(
@@ -396,48 +378,38 @@ def default_plan(
 ) -> ExperimentPlan:
     """The full comparison grid.
 
-    Meta-trained models with meta-batch 3 and 5 under every sampler, the
-    no-target-task ablation (pool of four tasks, meta-batch 4), and the plain
-    and multi-task baselines.  The all-task sampler is only defined when the
-    meta-batch equals the pool size, so the meta-batch 3 cell is marked N/A.
-    ``meta_updates`` is also the multi-task budget ``mt_iterations``; every
-    other setting is an ``ExperimentPlan`` field passed by name.
+    Every ``GRID_ROWS`` row under every sampler: meta-trained models with
+    meta-batch 3 and 5, and the no-target-task ablation (pool of four tasks,
+    meta-batch 4); then the plain and multi-task baselines.  The all-task
+    sampler is only defined when the meta-batch equals the row's pool size,
+    so its meta-batch 3 cell is marked N/A.  ``meta_updates`` is also the
+    multi-task budget ``mt_iterations``; every other setting is an
+    ``ExperimentPlan`` field passed by name.
     """
     variants = []
-    for mb in (3, 5):
-        for sk in GRID_SAMPLERS:
-            cell = CellKey("BSML", mb, sk.value)
-            label = f"bsml-k{mb}-{sk.value}"
-            if sk is SamplerKind.ALL_TASK and mb != len(TASKS):
+    for model, prefix, mb, exclude in GRID_ROWS:
+        for sk in SamplerKind:
+            label, cell = f"{prefix}{mb}-{sk.value}", CellKey(model, mb, sk.value)
+            if sk is SamplerKind.ALL_TASK and mb != len(TASKS) - exclude:
                 variants.append(Variant(label, cell, na=True))
             else:
-                variants.append(
-                    Variant(
-                        label,
-                        cell,
-                        meta=MetaConfig(
-                            meta_updates=meta_updates, meta_batch_size=mb, sampler=sk
-                        ),
-                    )
+                config = MetaConfig(
+                    meta_updates=meta_updates, meta_batch_size=mb, sampler=sk, exclude_target_task=exclude
                 )
-    ns_pool = len(TASKS) - 1
-    for sk in GRID_SAMPLERS:
-        variants.append(
-            Variant(
-                f"bsml-ns-k{ns_pool}-{sk.value}",
-                CellKey("BSML-NS", ns_pool, sk.value),
-                meta=MetaConfig(
-                    meta_updates=meta_updates,
-                    meta_batch_size=ns_pool,
-                    sampler=sk,
-                    exclude_target_task=True,
-                ),
-            )
-        )
+                variants.append(Variant(label, cell, meta=config))
     if include_baselines:
         variants.append(Variant("plain", CellKey("Plain", 0, ""), baseline="plain"))
         variants.append(Variant("multitask", CellKey("Multi-task", 0, ""), baseline="multitask"))
     return ExperimentPlan(tuple(variants), mt_iterations=meta_updates, **settings)
+
+
+def _aggregate(outcomes) -> Cell:
+    """The cell of one variant from its outcomes in repetition order: result records or StageErrors."""
+    aucs = [o["test_auc"] for o in outcomes if not isinstance(o, StageError)]
+    errors = [f"rep{rep}: {o}" for rep, o in enumerate(outcomes) if isinstance(o, StageError)]
+    if not aucs:
+        return Cell(errors=errors)
+    return Cell(float(np.mean(aucs)), float(np.std(aucs, ddof=0)), len(aucs), errors)
 
 
 def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
@@ -453,33 +425,18 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
     """
     out_dir = Path(out_dir)
     live = [v for v in plan.variants if not v.na]
-    aucs = {v.label: [] for v in live}
-    errors = {v.label: [] for v in live}
+    outcomes = {v.label: [] for v in live}  # each live variant's outcomes in repetition order
     for rep in range(plan.repetitions):
         runs = [
             (v.meta if v.meta is not None else v.baseline, out_dir / "runs" / v.label / f"rep{rep}")
             for v in live
         ]
         for v, outcome in zip(live, _run_repetition(plan, rep, runs)):
-            if isinstance(outcome, StageError):
-                errors[v.label].append(f"rep{rep}: {outcome}")
-            else:
-                aucs[v.label].append(outcome["test_auc"])
+            outcomes[v.label].append(outcome)
 
-    cells = []
-    for variant in plan.variants:
-        if variant.na:
-            cells.append((variant.cell, Cell(na=True)))
-            continue
-        found, errs = aucs[variant.label], tuple(errors[variant.label])
-        if found:
-            arr = np.asarray(found)
-            cell = Cell(float(arr.mean()), float(arr.std(ddof=0)), len(found), errs)
-        else:
-            cell = Cell(None, None, 0, errs)
-        cells.append((variant.cell, cell))
-
-    table = ResultTable(tuple(cells))
+    table = ResultTable(
+        tuple((v.cell, Cell(na=True) if v.na else _aggregate(outcomes[v.label])) for v in plan.variants)
+    )
     plan_doc = {
         "variants": [
             {
@@ -496,7 +453,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
         "hidden": plan.hidden,
         "n_subjects": plan.n_subjects,
         "mt_iterations": plan.mt_iterations,
-        "mt_rate": MT_RATE,
+        "mt_rate": MULTITASK_RATE,
     }
     write_manifest(
         out_dir,

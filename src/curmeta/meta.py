@@ -65,10 +65,10 @@ class MetaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sampler", SamplerKind(self.sampler))
-        object.__setattr__(self, "gradient_mode", GradientMode(self.gradient_mode))
         check_fields(
             self,
+            choices={"sampler": SamplerKind, "gradient_mode": GradientMode},
+            flags=("exclude_target_task",),
             reals={"adaptation_rate": 0, "meta_rate": 0},
             integers={
                 "meta_updates": 0,
@@ -297,12 +297,28 @@ class MetaUpdateRecord:
     grad_norm: float
 
 
+class BadRecordError(ValueError):
+    """Record ``index`` of a run log breaks its rules: ``problem`` says how."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"malformed run log: record {index + 1}: {problem}")
+        self.index, self.problem = index, problem
+
+
 @dataclass(frozen=True)
 class RunLog:
     records: tuple[MetaUpdateRecord, ...] = ()
 
     def __post_init__(self):
+        """Check that record i is iteration i + 1 and holds one value per task in each per-task column."""
         object.__setattr__(self, "records", tuple(self.records))
+        for i, r in enumerate(self.records):
+            if r.iteration != i + 1:
+                raise BadRecordError(i, f"iteration must be {i + 1}, got {r.iteration}")
+            for column, v in zip(LOG_COLUMNS[3:7], (r.auc_before, r.auc_after, r.observations, r.rewards)):
+                if len(v) != len(r.tasks):
+                    problem = f"{column} must hold one value per task ({len(r.tasks)}), got {len(v)}"
+                    raise BadRecordError(i, problem)
 
     def to_tsv(self) -> str:
         lines = ["\t".join(LOG_COLUMNS)]
@@ -326,7 +342,7 @@ class RunLog:
     @classmethod
     def from_tsv(cls, text: str) -> "RunLog":
         """Parse ``to_tsv`` output; a bad cell fails as ``line N: <column> must be ...``,
-        and so does an iteration out of the order 1, 2, 3, ... or a ragged row."""
+        and so does a record that breaks the log's rules (see ``__post_init__``)."""
         lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line]
         if not lines or lines[0][1] != "\t".join(LOG_COLUMNS):
             raise ValueError("malformed run log: bad or missing header")
@@ -344,18 +360,16 @@ class RunLog:
                 raise ValueError(f"malformed run log: line {ln} has {len(parts)} fields")
             try:
                 iteration = cell(parts, 0, int, "an integer")
-                if iteration != len(records) + 1:
-                    raise ValueError(f"iteration must be {len(records) + 1}, got {iteration}")
                 tasks = tuple(parts[2].split(",")) if parts[2] else ()
                 per_task = [cell(parts, i, floats, "comma-separated numbers") for i in range(3, 7)]
-                for column, v in zip(LOG_COLUMNS[3:7], per_task):
-                    if len(v) != len(tasks):
-                        raise ValueError(f"{column} must hold one value per task ({len(tasks)}), got {len(v)}")
                 grad_norm = cell(parts, 7, float, "a number")
             except ValueError as e:
                 raise ValueError(f"malformed run log: line {ln}: {e}") from None
             records.append(MetaUpdateRecord(iteration, parts[1], tasks, *per_task, grad_norm))
-        return cls(tuple(records))
+        try:
+            return cls(tuple(records))
+        except BadRecordError as e:
+            raise ValueError(f"malformed run log: line {lines[e.index + 1][0]}: {e.problem}") from None
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_tsv().encode()).hexdigest()
@@ -432,15 +446,11 @@ def meta_train(
     per update for the whole stack.  The result is a list whose entry i equals
     ``meta_train(arch, config[i], ...)`` bit for bit, or is the exception that
     call would raise (a failure of a whole stack is each member's); the other
-    configs carry on.  One config is a sequence of one.
+    configs carry on.  One config is a stack of one.
     """
-    if isinstance(config, MetaConfig):
-        [result] = meta_train(arch, [config], data, task_pool, [sampler])
-        if isinstance(result, Exception):
-            raise result
-        return result
-    configs = list(config)
-    samplers = [None] * len(configs) if sampler is None else list(sampler)
+    single = isinstance(config, MetaConfig)
+    configs = [config] if single else list(config)
+    samplers = [sampler] * len(configs) if single or sampler is None else list(sampler)
     if not configs:
         raise ValueError("meta_train needs at least one config")
     if len(samplers) != len(configs):
@@ -463,7 +473,11 @@ def meta_train(
             outcomes = [e] * len(members)
         for i, outcome in zip(members, outcomes):
             results[i] = outcome
-    return results
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 class _Learner:
@@ -715,56 +729,41 @@ def _fine_tune_lockstep(models, train, val, config, rng) -> list:
     return results
 
 
-def _head_length(arch: Architecture) -> int:
-    return (arch.layer_widths[-2] + 1) * arch.layer_widths[-1]
-
-
 MULTITASK_BATCH = 4  # samples per task per multi-task iteration
+MULTITASK_RATE = 0.01  # learning rate of the multi-task baseline
 
 
-def multitask_train(
-    arch: Architecture,
-    task_pool,
-    data: SplitDataset,
-    learning_rate: float,
-    iterations: int,
-    seed: int = 0,
-) -> TrainedModel:
-    """Joint training baseline: shared trunk, one output head per task.
+def multitask_train(arch: Architecture, data: SplitDataset, iterations: int, seed: int = 0) -> TrainedModel:
+    """Joint training baseline over ``TASKS``: shared trunk, one output head per task.
 
     Every iteration samples ``MULTITASK_BATCH`` samples per task and descends
-    the summed cross-entropy losses; the trunk accumulates all task gradients,
-    each head only its own.  The returned model is trunk plus K5's head; it
-    draws on ``derive_stream(seed, 2)`` and its provenance records ``seed``.
+    the summed cross-entropy losses at ``MULTITASK_RATE``; the trunk
+    accumulates all task gradients, each head only its own.  The returned
+    model is trunk plus K5's head; it draws on ``derive_stream(seed, 2)`` and
+    its provenance records ``seed``.
     """
-    pool = list(task_pool)
-    if not pool:
-        raise ValueError("task pool is empty")
-    if K5 not in pool:
-        raise ValueError(f"target task {K5.id} not in the pool")
     rng = derive_stream(seed, 2)
-
-    head_len = _head_length(arch)
+    head_len = (arch.layer_widths[-2] + 1) * arch.layer_widths[-1]
     trunk_len = arch.param_count - head_len
     first = nets.init_params(arch, rng)
     trunk = first[:trunk_len].copy()
-    heads = {pool[0].id: first[trunk_len:].copy()}
+    heads = {TASKS[0].id: first[trunk_len:].copy()}
     head_scale = 1.0 / np.sqrt(arch.layer_widths[-2])
-    for task in pool[1:]:
+    for task in TASKS[1:]:
         heads[task.id] = rng.uniform(-head_scale, head_scale, size=head_len)
 
-    mapped = {task.id: map_labels(task, data.train) for task in pool}
+    mapped = {task.id: map_labels(task, data.train) for task in TASKS}
     for _ in range(iterations):
         trunk_grad = np.zeros(trunk_len)
-        for task in pool:
+        for task in TASKS:
             full_batch = mapped[task.id]
             n = len(full_batch)
             idx = rng.choice(n, size=min(MULTITASK_BATCH, n), replace=n < MULTITASK_BATCH)
             mini = Batch(full_batch.inputs[idx], full_batch.labels[idx])
             g = nets.grad(arch, np.concatenate([trunk, heads[task.id]]), mini)
             trunk_grad += g[:trunk_len]
-            heads[task.id] = heads[task.id] - learning_rate * g[trunk_len:]
-        trunk = trunk - learning_rate * trunk_grad
+            heads[task.id] = heads[task.id] - MULTITASK_RATE * g[trunk_len:]
+        trunk = trunk - MULTITASK_RATE * trunk_grad
         if not np.all(np.isfinite(trunk)):
             raise FloatingPointError("non-finite parameters during multi-task training")
 

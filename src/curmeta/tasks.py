@@ -32,10 +32,21 @@ SPLIT_WEIGHTS = (45, 13, 59)  # train : validation : test subject proportions
 MIN_SUBJECTS_PER_SPLIT = 2
 
 
-def check_fields(config, reals=None, integers=None):
+def check_fields(config, reals=None, integers=None, flags=(), choices=None):
     """Check the {name: least} fields of ``config``: ``reals`` are finite numbers and
-    ``integers`` ints, and each is at least its least value (None: no bound)."""
+    ``integers`` ints, and each is at least its least value (None: no bound).
+    ``flags`` are bools, and each {name: Enum} of ``choices`` becomes its member."""
     reals, integers = reals or {}, integers or {}
+    for name, kind in (choices or {}).items():
+        value = getattr(config, name)
+        members = [m.value for m in kind]
+        if value not in members:
+            raise ValueError(f"{name} must be one of {', '.join(members)}, got {value!r}")
+        object.__setattr__(config, name, kind(value))
+    for name in flags:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
     for name in reals:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -305,8 +316,9 @@ def sample_episode(
     negative are drawn first, the rest uniformly).  Raises PoolExhaustedError
     when the eligible pool cannot satisfy the sizes or stratification.
     """
-    if n_tr < 2 or n_val < 2:
-        raise ValueError("n_tr and n_val must be >= 2 so both labels can be present")
+    if n_tr < 2 or n_val < 2:  # both labels in each set
+        name, value = ("n_tr", n_tr) if n_tr < 2 else ("n_val", n_val)
+        raise ValueError(f"{name} must be >= 2, got {value!r}")
     # work in positions 0..n-1 of the eligible samples, in pool order
     features, positive, labels, subjects, rank, pos, neg = pool._task_view(task)
     n = len(positive)

@@ -202,6 +202,16 @@ def test_meta_train_rejects_unknown_config_field(tmp_path, data_dir, capsys):
     assert "bad config field" in err
 
 
+def test_meta_train_rejects_a_config_flag_that_is_not_a_bool(tmp_path, data_dir, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"exclude_target_task": "false", "sampler": "cl"}))
+    out = tmp_path / "out"
+    rc = main(["meta-train", "--out", str(out), "--data", str(data_dir), "--config", str(cfg_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "[meta-train] exclude_target_task must be a bool, got 'false'\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fine-tune
 
 

@@ -336,6 +336,13 @@ def test_experiment_plan_validation():
         ExperimentPlan((v,), fine_tune={"epochs": 2})
 
 
+def test_experiment_plan_rejects_two_variants_on_one_cell():
+    cell = CellKey("BSML", 2, "random")
+    a, b = Variant("a", cell, meta=QUICK_META), Variant("b", cell, baseline="plain")
+    with pytest.raises(ValueError, match="^variant cells must be unique$"):
+        ExperimentPlan((a, b), repetitions=1)
+
+
 def test_default_plan_structure():
     plan = default_plan(meta_updates=100)
     assert len(plan.variants) == 14

@@ -11,6 +11,8 @@ import pytest
 from curmeta import meta
 from curmeta.meta import (
     LOG_COLUMNS,
+    MULTITASK_BATCH,
+    MULTITASK_RATE,
     STACK_FIELDS,
     FineTuneConfig,
     GradientMode,
@@ -113,6 +115,14 @@ def test_meta_config_validation():
         MetaConfig(sampler="greedy")
     with pytest.raises(ValueError, match="^seed must be >= 0"):
         MetaConfig(seed=-1)
+    for name, value, expected in [
+        ("exclude_target_task", "false", "exclude_target_task must be a bool, got 'false'"),
+        ("exclude_target_task", 1, "exclude_target_task must be a bool, got 1"),
+        ("sampler", "bogus", "sampler must be one of random, alltask, mab, cl, got 'bogus'"),
+        ("gradient_mode", "bogus", "gradient_mode must be one of second, first, got 'bogus'"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+            MetaConfig(**{name: value})
 
 
 def test_fine_tune_config_validation():
@@ -374,10 +384,25 @@ def test_run_log_rejects_a_row_without_one_value_per_task(column):
     ],
 )
 def test_run_log_rejects_iterations_out_of_order(first, second, expected):
-    a, b = sample_log().records
-    text = RunLog((replace(a, iteration=first), replace(b, iteration=second))).to_tsv()
+    lines = sample_log().to_tsv().splitlines()
+    for ln, iteration in ((1, first), (2, second)):
+        lines[ln] = "\t".join([str(iteration), *lines[ln].split("\t")[1:]])
     with pytest.raises(ValueError, match="^malformed run log: " + re.escape(expected) + "$"):
-        RunLog.from_tsv(text)
+        RunLog.from_tsv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        ({"iteration": 3}, "record 2: iteration must be 2, got 3"),
+        ({"auc_before": ()}, "record 2: auc_before must hold one value per task (1), got 0"),
+        ({"rewards": (0.1, 0.2)}, "record 2: reward must hold one value per task (1), got 2"),
+    ],
+)
+def test_run_log_checks_the_records_it_is_built_from(edit, expected):
+    a, b = sample_log().records
+    with pytest.raises(ValueError, match="^malformed run log: " + re.escape(expected) + "$"):
+        RunLog((a, replace(b, **edit)))
 
 
 def test_run_log_errors_count_blank_lines():
@@ -840,47 +865,19 @@ def test_fine_tune_lockstep_validates_models(small_arch, small_data):
 # ---------------------------------------------------------------- multitask
 
 
-def test_multitask_single_task_pool_is_plain_sgd(small_arch, small_data):
-    lr, iters, bs, seed = 0.05, 6, 4, 13
-    model = multitask_train(
-        small_arch, [K5], small_data, learning_rate=lr, iterations=iters, seed=seed
-    )
-    assert model.provenance == Provenance({"baseline": "multitask"}, seed)
-
-    rng = derive_stream(seed, 2)
-    params = init_params(small_arch, rng)
-    full = map_labels(K5, small_data.train)
-    n = len(full)
-    for _ in range(iters):
-        idx = rng.choice(n, size=min(bs, n), replace=n < bs)
-        mini = Batch(full.inputs[idx], full.labels[idx])
-        params = params - lr * grad(small_arch, params, mini)
-    assert np.array_equal(model.params, params)
-
-
 def test_multitask_deterministic(small_arch, small_data):
-    a = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=3)
-    b = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=3)
-    c = multitask_train(small_arch, list(TASKS), small_data, 0.05, 4, seed=4)
+    a = multitask_train(small_arch, small_data, 4, seed=3)
+    b = multitask_train(small_arch, small_data, 4, seed=3)
+    c = multitask_train(small_arch, small_data, 4, seed=4)
     assert np.array_equal(a.params, b.params)
     assert not np.array_equal(a.params, c.params)
 
 
-def test_multitask_validates_pool(small_arch, small_data):
-    with pytest.raises(ValueError):
-        multitask_train(small_arch, [], small_data, 0.05, 2)
-    from curmeta.tasks import K1, K2
-
-    with pytest.raises(ValueError):
-        multitask_train(small_arch, [K1, K2], small_data, 0.05, 2)  # K5 not in pool
-
-
 def test_multitask_target_head_selected(small_arch, small_data):
-    # K5 is second in the pool, so its head is the second one drawn, not init_params'
-    from curmeta.tasks import K1
-
-    lr, iters, bs, seed = 0.05, 3, 4, 5
-    model = multitask_train(small_arch, [K1, K5], small_data, lr, iters, seed=seed)
+    # K5 is last in TASKS, so its head is the fourth one drawn after init_params, not init_params'
+    iters, bs, seed = 3, MULTITASK_BATCH, 5
+    model = multitask_train(small_arch, small_data, iters, seed=seed)
+    assert model.provenance == Provenance({"baseline": "multitask"}, seed)
 
     rng = derive_stream(seed, 2)
     head_len = (small_arch.layer_widths[-2] + 1) * small_arch.layer_widths[-1]
@@ -888,20 +885,22 @@ def test_multitask_target_head_selected(small_arch, small_data):
     first = init_params(small_arch, rng)
     trunk = first[:trunk_len]
     scale = 1.0 / np.sqrt(small_arch.layer_widths[-2])
-    heads = {"K1": first[trunk_len:], "K5": rng.uniform(-scale, scale, size=head_len)}
+    heads = {TASKS[0].id: first[trunk_len:]}
+    for task in TASKS[1:]:
+        heads[task.id] = rng.uniform(-scale, scale, size=head_len)
     for _ in range(iters):
         trunk_grad = np.zeros(trunk_len)
-        for task in (K1, K5):
+        for task in TASKS:
             full = map_labels(task, small_data.train)
             n = len(full)
             idx = rng.choice(n, size=min(bs, n), replace=n < bs)
             mini = Batch(full.inputs[idx], full.labels[idx])
             g = grad(small_arch, np.concatenate([trunk, heads[task.id]]), mini)
             trunk_grad += g[:trunk_len]
-            heads[task.id] = heads[task.id] - lr * g[trunk_len:]
-        trunk = trunk - lr * trunk_grad
-    assert np.array_equal(model.params, np.concatenate([trunk, heads["K5"]]))
-    assert not np.array_equal(model.params[trunk_len:], heads["K1"])
+            heads[task.id] = heads[task.id] - MULTITASK_RATE * g[trunk_len:]
+        trunk = trunk - MULTITASK_RATE * trunk_grad
+    assert np.array_equal(model.params, np.concatenate([trunk, heads[K5.id]]))
+    assert not np.array_equal(model.params[trunk_len:], heads[TASKS[0].id])
 
 
 # ---------------------------------------------------------- learning curves

@@ -307,9 +307,9 @@ def test_sample_episode_respects_task_classes(small_data):
 
 def test_sample_episode_rejects_tiny_sizes(small_data):
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_tr must be >= 2, got 1$"):
         sample_episode(K1, small_data.train, 1, 4, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_val must be >= 2, got 1$"):
         sample_episode(K1, small_data.train, 4, 1, rng)
 
 

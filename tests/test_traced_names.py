@@ -4,7 +4,8 @@ A traced name that no longer exists crashes every traced benchmark run, so
 each one must stay a callable of its curmeta module.  The traced benchmark
 runs also fail unless ``nets.hessian_vector_product`` is called once per
 (episode, inner step) of every second-order meta-update, so the call count
-is checked here on a tiny lockstep meta-train.
+is checked here on a tiny lockstep meta-train, and a traced call is counted
+once, so no public function may re-enter itself through its traced name.
 """
 
 import importlib
@@ -52,3 +53,16 @@ def test_traced_hvp_calls_are_one_per_episode_and_inner_step(mode):
     expected = sum(c.meta_updates * c.meta_batch_size * c.inner_steps for c in configs)
     calls = tracer.layer_metrics()["nets.hvp.calls"]
     assert calls == (expected if mode == "second" else 0)
+
+
+def test_traced_one_config_meta_train_is_one_call():
+    from curmeta import meta
+
+    data = generate_source(SourceConfig(dim=4, seed=3), n_subjects=30)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        meta.meta_train(Architecture((4, 8, 2)), MetaConfig(meta_updates=3, meta_batch_size=2), data)
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["meta.meta_train.calls"] == 1
