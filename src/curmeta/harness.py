@@ -244,6 +244,20 @@ class Cell:
         object.__setattr__(self, "errors", tuple(self.errors))
 
 
+# what each field of a results.json cell must hold (JSON values have exact types: a bool is no int)
+_NUMBER_OR_NULL = ("a number or null", lambda v: type(v) in (int, float, type(None)))
+CELL_FIELDS = {
+    "model": ("a string", lambda v: type(v) is str),
+    "meta_batch": ("an integer", lambda v: type(v) is int),
+    "sampler": ("a string", lambda v: type(v) is str),
+    "mean": _NUMBER_OR_NULL,
+    "std": _NUMBER_OR_NULL,
+    "n": ("an integer", lambda v: type(v) is int),
+    "errors": ("a list of strings", lambda v: type(v) is list and all(type(e) is str for e in v)),
+    "na": ("a bool", lambda v: type(v) is bool),
+}
+
+
 @dataclass(frozen=True)
 class ResultTable:
     cells: tuple[tuple[CellKey, Cell], ...] = ()
@@ -266,17 +280,26 @@ class ResultTable:
 
     @classmethod
     def parse(cls, text: str) -> "ResultTable":
+        """Read ``emit`` output; a bad cell fails as ``cells[i]: <field> must be ...``."""
         doc = json.loads(text)
-        if doc.get("format") != "curmeta-results-v1":
+        cells = doc.get("cells") if isinstance(doc, dict) and doc.get("format") == "curmeta-results-v1" else None
+        if type(cells) is not list:
             raise ValueError("not a curmeta results document")
-        cells = tuple(
+        for i, d in enumerate(cells):
+            if type(d) is not dict:
+                raise ValueError(f"cells[{i}] must be an object, got {d!r}")
+            for name, (expected, valid) in CELL_FIELDS.items():
+                if name not in d:
+                    raise ValueError(f"cells[{i}] has no {name}")
+                if not valid(d[name]):
+                    raise ValueError(f"cells[{i}]: {name} must be {expected}, got {d[name]!r}")
+        return cls(
             (
                 CellKey(d["model"], d["meta_batch"], d["sampler"]),
                 Cell(d["mean"], d["std"], d["n"], tuple(d["errors"]), d["na"]),
             )
-            for d in doc["cells"]
+            for d in cells
         )
-        return cls(cells)
 
     def render_text(self) -> str:
         """Fixed-width text table: sampler columns for the meta grid, then baselines."""

@@ -423,74 +423,67 @@ STACK_FIELDS = ("n_tr", "n_val", "inner_steps", "adaptation_rate", "gradient_mod
 
 
 def meta_train(
-    arch: Architecture,
-    config: MetaConfig | Sequence[MetaConfig],
-    data: SplitDataset,
-    task_pool=None,
-    sampler: SamplerState | Sequence[SamplerState | None] | None = None,
+    arch: Architecture, config: MetaConfig | Sequence[MetaConfig], data: SplitDataset
 ) -> tuple[TrainedModel, RunLog] | list:
     """Run ``config.meta_updates`` meta-updates and return the trained initialization.
 
-    Each iteration samples a meta-batch of tasks, draws one episode per task
-    from the training split, adapts per task, meta-updates the initialization,
-    and records the pre/post-adaptation query AUC of every episode with the
-    sampler.  Deterministic given the config seed (the default sampler and all
-    episode draws derive their streams from it).  A caller's ``sampler`` must
-    be of the config's sampler kind.
+    Each iteration samples a meta-batch of tasks from the pool (``TASKS``,
+    without K5 when ``exclude_target_task`` is set), draws one episode per
+    task from the training split, adapts per task, meta-updates the
+    initialization, and records the pre/post-adaptation query AUC of every
+    episode with the sampler.  Deterministic given the config seed: the
+    initialization, the episode draws and the sampler each take one of the
+    streams it spawns.
 
-    ``config`` may also be a sequence of configs, checked whole before any
-    training, with ``sampler`` then None or one entry per config.  Configs that
-    share every ``STACK_FIELDS`` value are meta-trained in lockstep, one stack
-    at a time in order of first appearance: each config selects and draws on
-    its own streams, and the unroll, the query gradient and the AUCs run once
-    per update for the whole stack.  The result is a list whose entry i equals
-    ``meta_train(arch, config[i], ...)`` bit for bit, or is the exception that
-    call would raise (a failure of a whole stack is each member's); the other
-    configs carry on.  One config is a stack of one.
+    ``config`` may also be a sequence of configs.  Configs that share every
+    ``STACK_FIELDS`` value are meta-trained in lockstep, one stack at a time
+    in order of first appearance: each config selects and draws on its own
+    streams, and the unroll, the query gradient and the AUCs run once per
+    update for the whole stack.  The result is a list whose entry i equals
+    ``meta_train(arch, config[i], data)`` bit for bit, or is the exception
+    that call would raise (a failure of a whole stack is each member's); the
+    other configs carry on.  One config is a stack of one.
     """
     single = isinstance(config, MetaConfig)
     configs = [config] if single else list(config)
-    samplers = [sampler] * len(configs) if single or sampler is None else list(sampler)
     if not configs:
         raise ValueError("meta_train needs at least one config")
-    if len(samplers) != len(configs):
-        raise ValueError(f"{len(configs)} configs but {len(samplers)} samplers")
-    for c, state in zip(configs, samplers):
-        if state is not None and state.kind is not c.sampler:
-            raise ValueError(
-                f"config sampler {c.sampler.value} but sampler state {state.kind.value}"
-            )
     stacks = {}  # STACK_FIELDS values -> the indices of their configs
     for i, c in enumerate(configs):
         stacks.setdefault(tuple(getattr(c, name) for name in STACK_FIELDS), []).append(i)
     results = [None] * len(configs)
     for members in stacks.values():
-        try:
-            outcomes = _meta_train_lockstep(
-                arch, [configs[i] for i in members], data, task_pool, [samplers[i] for i in members]
-            )
-        except Exception as e:  # a failure of the whole stack is every member's failure
-            outcomes = [e] * len(members)
-        for i, outcome in zip(members, outcomes):
+        stack = [configs[i] for i in members]
+        for i, outcome in zip(members, _each(lambda s: _meta_train_lockstep(arch, s, data), stack)):
             results[i] = outcome
-    if not single:
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    return _one(results) if single else results
+
+
+def _each(run, entries) -> list:
+    """``run(entries)``, one result per entry; a failure of the whole call is every entry's."""
+    try:
+        return run(entries)
+    except Exception as e:
+        return [e] * len(entries)
+
+
+def _one(results):
+    """The single entry of ``results``, raised if it is an exception."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class _Learner:
     """One config of a lockstep meta-train: its pool, streams, sampler and records."""
 
-    def __init__(self, config, pool, sampler):
+    def __init__(self, config):
         self.config = config
-        self.pool = pool
+        self.pool = [t for t in TASKS if t.id != K5.id] if config.exclude_target_task else TASKS
         _, episode_ss, sampler_ss = np.random.SeedSequence(config.seed).spawn(3)
         self.episode_rng = np.random.default_rng(episode_ss)
-        if sampler is None:
-            sampler = SamplerState(config.sampler, rng=np.random.default_rng(sampler_ss))
-        self.sampler = sampler
+        self.sampler = SamplerState(config.sampler, rng=np.random.default_rng(sampler_ss))
         self.batch = []
         self.records = []
 
@@ -528,26 +521,16 @@ class _Learner:
         )
 
 
-def _meta_train_lockstep(arch, configs, data, task_pool, samplers) -> list:
+def _meta_train_lockstep(arch, configs, data) -> list:
     """One stack of ``meta_train``: checked configs that share every ``STACK_FIELDS`` value."""
-    base_pool = list(task_pool if task_pool is not None else TASKS)
+    learners = [_Learner(config) for config in configs]
     results = [None] * len(configs)
-    learners = [None] * len(configs)
-    for i, (config, sampler) in enumerate(zip(configs, samplers)):
-        pool = [t for t in base_pool if t.id != K5.id] if config.exclude_target_task else base_pool
-        if pool:
-            learners[i] = _Learner(config, pool, sampler)
-        else:
-            results[i] = ValueError("task pool is empty after exclusions")
-    rows = [i for i, learner in enumerate(learners) if learner is not None]
-    if not rows:
-        return results
-
+    rows = list(range(len(configs)))  # the config behind each row of the stack
     first = configs[0]
     alpha, mode = first.adaptation_rate, first.gradient_mode
     objective = NetLoss(arch)
-    params = np.stack([initial_params(arch, configs[i].seed) for i in rows])  # one row per config
-    rates = np.array([configs[i].meta_rate for i in rows])
+    params = np.stack([initial_params(arch, c.seed) for c in configs])
+    rates = np.array([c.meta_rate for c in configs])
     trajectory = None  # reused while the stack keeps its episode count
     for iteration in range(1, first.meta_updates + 1):
         episodes, counts, failed = [], [], {}
@@ -653,17 +636,8 @@ def fine_tune(
     if any(m.arch != models[0].arch for m in models):
         raise ValueError("models fine-tuned in lockstep must share one architecture")
     rng = np.random.default_rng(rng)
-    try:
-        train = map_labels(target_task, data.train)
-        val = map_labels(target_task, data.validation)
-        results = _fine_tune_lockstep(models, train, val, config, rng)
-    except Exception as e:  # a failure of the whole call is every model's failure
-        results = [e] * len(models)
-    if not isinstance(model, TrainedModel):
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    results = _each(lambda ms: _fine_tune_lockstep(ms, target_task, data, config, rng), models)
+    return _one(results) if isinstance(model, TrainedModel) else results
 
 
 def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> TrainedModel:
@@ -675,8 +649,10 @@ def _tuned(model: TrainedModel, params: ParamVector, config: FineTuneConfig) -> 
     return TrainedModel(model.arch, params, provenance)
 
 
-def _fine_tune_lockstep(models, train, val, config, rng) -> list:
+def _fine_tune_lockstep(models, target_task, data, config, rng) -> list:
     arch = models[0].arch
+    train = map_labels(target_task, data.train)
+    val = map_labels(target_task, data.validation)
 
     def val_aucs(p):
         inputs = np.broadcast_to(val.inputs, (len(p),) + val.inputs.shape)

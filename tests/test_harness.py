@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -286,6 +287,38 @@ def test_result_table_emit_parse_round_trip():
 def test_result_table_parse_rejects_foreign_json():
     with pytest.raises(ValueError):
         ResultTable.parse('{"format": "other", "cells": []}')
+
+
+def results_text(i=None, **changes):
+    """grid_table's results.json with the fields of cells[i] changed (None: removed)."""
+    doc = json.loads(grid_table().emit())
+    for name, value in changes.items():
+        doc["cells"][i][name] = value
+        if value is None:
+            del doc["cells"][i][name]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "not a curmeta results document"),
+        ('{"format": "curmeta-results-v1"}', "not a curmeta results document"),
+        (results_text().replace('"cells": [', '"cells": [3, '), "cells[0] must be an object, got 3"),
+        (results_text(1, mean="x"), "cells[1]: mean must be a number or null, got 'x'"),
+        (results_text(0, std=None), "cells[0] has no std"),
+        (results_text(2, std=True), "cells[2]: std must be a number or null, got True"),
+        (results_text(4, n=1.5), "cells[4]: n must be an integer, got 1.5"),
+        (results_text(3, errors=["a", 1]), "cells[3]: errors must be a list of strings, got ['a', 1]"),
+        (results_text(3, errors="a"), "cells[3]: errors must be a list of strings, got 'a'"),
+        (results_text(2, na="false"), "cells[2]: na must be a bool, got 'false'"),
+        (results_text(0, meta_batch="5"), "cells[0]: meta_batch must be an integer, got '5'"),
+    ],
+    ids=["list", "no-cells", "cell", "mean", "std-missing", "std", "n", "errors", "errors-str", "na", "meta_batch"],
+)
+def test_result_table_parse_names_the_cell_and_field_of_a_bad_value(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ResultTable.parse(text)
 
 
 def test_result_table_render_marks_special_cells():

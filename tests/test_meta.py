@@ -36,7 +36,6 @@ from curmeta.meta import (
 )
 from curmeta.metrics import DegenerateAucError
 from curmeta.nets import Architecture, Batch, batch_loss, forward, grad, init_params, softmax
-from curmeta.samplers import SamplerState
 from curmeta.tasks import (
     K5,
     TASKS,
@@ -521,52 +520,6 @@ def test_meta_train_alltask_uses_each_task_once(small_arch, small_data):
         assert r.sampler == "alltask"
 
 
-def test_meta_train_custom_pool(small_arch, small_data):
-    from curmeta.tasks import K2, K3
-
-    cfg = quick_config(meta_updates=4)
-    _, log = meta_train(small_arch, cfg, small_data, task_pool=[K2, K3])
-    assert set(t for r in log.records for t in r.tasks) <= {"K2", "K3"}
-
-
-def test_meta_train_custom_sampler_object(small_arch, small_data):
-    sampler = SamplerState("cl", rng=5)
-    cfg = quick_config(meta_updates=3, sampler="cl")
-    _, log = meta_train(small_arch, cfg, small_data, sampler=sampler)
-    assert all(r.sampler == "cl" for r in log.records)
-    assert sampler.buffers  # outcomes were recorded into the caller's state
-
-
-def test_meta_train_rejects_a_sampler_of_another_kind(small_arch, small_data):
-    # the run log would name the state's kind, the checkpoint the config's
-    message = "config sampler random but sampler state mab"
-    cfg = quick_config(sampler="random")
-    with pytest.raises(ValueError, match=message):
-        meta_train(small_arch, cfg, small_data, sampler=SamplerState("mab"))
-    sampler = SamplerState("mab")
-    with pytest.raises(ValueError, match=message):
-        meta_train(small_arch, [quick_config(sampler="mab"), cfg], small_data, sampler=[None, sampler])
-    assert not sampler.buffers  # rejected before any update ran
-    # the wrong state belongs to the second stack: the first stack never trains either
-    first = SamplerState("cl")
-    configs = [quick_config(sampler="cl"), quick_config(sampler="random", inner_steps=3, seed=1)]
-    with pytest.raises(ValueError, match=message):
-        meta_train(small_arch, configs, small_data, sampler=[first, SamplerState("mab")])
-    assert not first.buffers
-
-
-def test_meta_train_rejects_empty_pool(small_arch, small_data):
-    with pytest.raises(ValueError):
-        meta_train(small_arch, quick_config(), small_data, task_pool=[])
-    with pytest.raises(ValueError):
-        meta_train(
-            small_arch,
-            quick_config(exclude_target_task=True),
-            small_data,
-            task_pool=[K5],
-        )
-
-
 def test_meta_train_reports_exhausted_pool_context(small_arch):
     starved = generate_source(SourceConfig(dim=4, seed=0), n_subjects=6)
     with pytest.raises(PoolExhaustedError, match="meta-update 1, task"):
@@ -605,69 +558,34 @@ def test_meta_train_lockstep_equals_independent_calls(small_arch, small_data, mo
     assert_same_training(single, meta_train(small_arch, configs[0], small_data))
 
 
-def test_meta_train_lockstep_uses_each_configs_own_sampler(small_arch, small_data):
-    configs = [quick_config(sampler="cl", seed=1), quick_config(sampler="mab", seed=1)]
-    samplers = [SamplerState("cl", rng=7), None]
-    together = meta_train(small_arch, configs, small_data, sampler=samplers)
-    assert samplers[0].buffers  # outcomes were recorded into the caller's state
-    alone = meta_train(small_arch, configs[0], small_data, sampler=SamplerState("cl", rng=7))
-    assert_same_training(together[0], alone)
-    assert_same_training(together[1], meta_train(small_arch, configs[1], small_data))
-    with pytest.raises(ValueError, match="2 configs but 1 samplers"):
-        meta_train(small_arch, configs, small_data, sampler=samplers[:1])
-
-
 def test_meta_train_lockstep_failing_rows_leave_the_stack(small_arch, small_data):
-    # K3 has 13 eligible training samples here, too few for 7 + 7; K1 has 24
-    from curmeta.tasks import K1, K3
-
-    pool = [K1, K3]
+    # K3 has 13 eligible training samples here, too few for 7 + 7
     base = dict(meta_updates=3, inner_steps=2, n_tr=7, n_val=7)
     configs = [
-        MetaConfig(sampler="cl", meta_batch_size=1, seed=1, **base),  # K1, then K3 at update 2
-        MetaConfig(sampler="cl", meta_batch_size=2, seed=2, **base),  # survives: K1 always wins
-        MetaConfig(sampler="alltask", meta_batch_size=2, seed=3, **base),  # K3 at update 1
-        MetaConfig(sampler="cl", meta_batch_size=1, meta_rate=1e300, seed=4, **base),  # overflows
-        MetaConfig(sampler="random", meta_batch_size=1, seed=5, **base),
+        MetaConfig(sampler="alltask", meta_batch_size=5, seed=1, **base),  # K3 at update 1
+        MetaConfig(sampler="cl", meta_batch_size=1, seed=2, **base),  # K1, K2, then K3 at update 3
+        MetaConfig(sampler="random", meta_batch_size=1, seed=4, **base),  # survives
+        MetaConfig(sampler="random", meta_batch_size=1, meta_rate=1e300, seed=4, **base),  # overflows
     ]
-
-    def k1_only():
-        # K3's buffer holds 0.0, so K1 wins every draw (ties go to the lower index)
-        sampler = SamplerState("cl", rng=0)
-        sampler.buffer("K1").append(0.0)
-        sampler.buffer("K3").append(0.0)
-        return sampler
-
-    def samplers():
-        return [None, k1_only(), None, k1_only(), None]
-
     with np.errstate(over="ignore", invalid="ignore"):
-        together = meta_train(small_arch, configs, small_data, pool, samplers())
+        together = meta_train(small_arch, configs, small_data)
         outcomes = []
-        for config, sampler in zip(configs, samplers()):
+        for config in configs:
             try:
-                outcomes.append(meta_train(small_arch, config, small_data, pool, sampler))
+                outcomes.append(meta_train(small_arch, config, small_data))
             except Exception as e:
                 outcomes.append(e)
     assert isinstance(together[0], PoolExhaustedError)
-    assert str(together[0]).startswith("meta-update 2, task K3: ")
-    assert isinstance(together[2], PoolExhaustedError)
-    assert str(together[2]).startswith("meta-update 1, task K3: ")
+    assert str(together[0]).startswith("meta-update 1, task K3: ")
+    assert isinstance(together[1], PoolExhaustedError)
+    assert str(together[1]).startswith("meta-update 3, task K3: ")
+    assert not isinstance(together[2], Exception)
     assert isinstance(together[3], FloatingPointError)
     for result, alone in zip(together, outcomes):
         if isinstance(result, Exception):
             assert type(result) is type(alone) and str(result) == str(alone)
         else:
             assert_same_training(result, alone)
-    assert not isinstance(together[1], Exception)
-
-
-def test_meta_train_lockstep_row_with_empty_pool(small_arch, small_data):
-    configs = [quick_config(exclude_target_task=True), quick_config(seed=1)]
-    together = meta_train(small_arch, configs, small_data, task_pool=[K5])
-    assert isinstance(together[0], ValueError)
-    assert "empty after exclusions" in str(together[0])
-    assert_same_training(together[1], meta_train(small_arch, configs[1], small_data, [K5]))
 
 
 # one value per STACK_FIELDS field that differs from quick_config's

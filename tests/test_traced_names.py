@@ -16,7 +16,7 @@ import pytest
 
 from curmeta.meta import MetaConfig, meta_train
 from curmeta.nets import Architecture
-from curmeta.tasks import SourceConfig, generate_source
+from curmeta.tasks import K5, SourceConfig, generate_source
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,14 +55,32 @@ def test_traced_hvp_calls_are_one_per_episode_and_inner_step(mode):
     assert calls == (expected if mode == "second" else 0)
 
 
+def traced_calls(layer, call):
+    """How often the tracer counts ``layer`` over ``call()``: the outer call only."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return tracer.layer_metrics()[f"{layer}.calls"]
+
+
 def test_traced_one_config_meta_train_is_one_call():
     from curmeta import meta
 
     data = generate_source(SourceConfig(dim=4, seed=3), n_subjects=30)
-    tracer = load_tracer().Tracer()
-    tracer.install()
-    try:
-        meta.meta_train(Architecture((4, 8, 2)), MetaConfig(meta_updates=3, meta_batch_size=2), data)
-    finally:
-        tracer.uninstall()
-    assert tracer.layer_metrics()["meta.meta_train.calls"] == 1
+    config = MetaConfig(meta_updates=3, meta_batch_size=2)
+    assert traced_calls("meta.meta_train", lambda: meta.meta_train(Architecture((4, 8, 2)), config, data)) == 1
+
+
+@pytest.mark.parametrize("count", [None, 2], ids=["one", "list"])  # one model, or a list of two
+def test_traced_fine_tune_is_one_call(count):
+    from curmeta import meta
+
+    data = generate_source(SourceConfig(dim=4, seed=3), n_subjects=30)
+    arch = Architecture((4, 8, 2))
+    models = [meta.TrainedModel(arch, meta.initial_params(arch, seed)) for seed in range(count or 1)]
+    model = models if count else models[0]
+    config = meta.FineTuneConfig(epochs=2)
+    assert traced_calls("meta.fine_tune", lambda: meta.fine_tune(model, K5, data, config)) == 1
