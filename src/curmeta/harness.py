@@ -244,69 +244,26 @@ class Cell:
         object.__setattr__(self, "errors", tuple(self.errors))
 
 
-# what each field of a results.json cell must hold (JSON values have exact types: a bool is no int)
-_NUMBER_OR_NULL = ("a number or null", lambda v: type(v) in (int, float, type(None)))
-CELL_FIELDS = {
-    "model": ("a string", lambda v: type(v) is str),
-    "meta_batch": ("an integer", lambda v: type(v) is int),
-    "sampler": ("a string", lambda v: type(v) is str),
-    "mean": _NUMBER_OR_NULL,
-    "std": _NUMBER_OR_NULL,
-    "n": ("an integer", lambda v: type(v) is int),
-    "errors": ("a list of strings", lambda v: type(v) is list and all(type(e) is str for e in v)),
-    "na": ("a bool", lambda v: type(v) is bool),
-}
-
-
 @dataclass(frozen=True)
 class ResultTable:
-    cells: tuple[tuple[CellKey, Cell], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "_index", dict(self.cells))
-        if len(self._index) != len(self.cells):
-            raise ValueError("duplicate cell keys in result table")
+    cells: dict[CellKey, Cell] = field(default_factory=dict)
 
     def cell(self, model: str, meta_batch: int, sampler: str) -> Cell:
-        return self._index[CellKey(model, meta_batch, sampler)]
+        return self.cells[CellKey(model, meta_batch, sampler)]
 
     def emit(self) -> str:
         doc = {
             "format": "curmeta-results-v1",
-            "cells": [{**asdict(k), **asdict(c)} for k, c in self.cells],  # every field of key and cell
+            "cells": [{**asdict(k), **asdict(c)} for k, c in self.cells.items()],  # every field of key and cell
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> "ResultTable":
-        """Read ``emit`` output; a bad cell fails as ``cells[i]: <field> must be ...``."""
-        doc = json.loads(text)
-        cells = doc.get("cells") if isinstance(doc, dict) and doc.get("format") == "curmeta-results-v1" else None
-        if type(cells) is not list:
-            raise ValueError("not a curmeta results document")
-        for i, d in enumerate(cells):
-            if type(d) is not dict:
-                raise ValueError(f"cells[{i}] must be an object, got {d!r}")
-            for name, (expected, valid) in CELL_FIELDS.items():
-                if name not in d:
-                    raise ValueError(f"cells[{i}] has no {name}")
-                if not valid(d[name]):
-                    raise ValueError(f"cells[{i}]: {name} must be {expected}, got {d[name]!r}")
-        return cls(
-            (
-                CellKey(d["model"], d["meta_batch"], d["sampler"]),
-                Cell(d["mean"], d["std"], d["n"], tuple(d["errors"]), d["na"]),
-            )
-            for d in cells
-        )
-
     def render_text(self) -> str:
         """Fixed-width text table: sampler columns for the meta grid, then baselines."""
-        grid = [k for k, _ in self.cells if k.sampler]
+        grid = [k for k in self.cells if k.sampler]
         grid_rows = list(dict.fromkeys((k.model, k.meta_batch) for k in grid))  # in first-appearance order
         samplers = list(dict.fromkeys(k.sampler for k in grid))
-        baselines = [(k, c) for k, c in self.cells if not k.sampler]
+        baselines = [(k, c) for k, c in self.cells.items() if not k.sampler]
 
         def fmt(c: Cell) -> str:
             if c.na:
@@ -323,7 +280,7 @@ class ResultTable:
             for model, mb in grid_rows:
                 row = [model.ljust(16), str(mb).ljust(5)]
                 for s in samplers:
-                    cell = self._index.get(CellKey(model, mb, s))
+                    cell = self.cells.get(CellKey(model, mb, s))
                     row.append(("-" if cell is None else fmt(cell)).ljust(width))
                 lines.append("".join(row).rstrip())
         if baselines:
@@ -457,9 +414,7 @@ def run_sweep(plan: ExperimentPlan, out_dir) -> ResultTable:
         for v, outcome in zip(live, _run_repetition(plan, rep, runs)):
             outcomes[v.label].append(outcome)
 
-    table = ResultTable(
-        tuple((v.cell, Cell(na=True) if v.na else _aggregate(outcomes[v.label])) for v in plan.variants)
-    )
+    table = ResultTable({v.cell: Cell(na=True) if v.na else _aggregate(outcomes[v.label]) for v in plan.variants})
     plan_doc = {
         "variants": [
             {

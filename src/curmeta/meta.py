@@ -21,12 +21,13 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import nets
-from .metrics import compute_auc
+from .metrics import DegenerateAucError, compute_auc
 from .nets import Architecture, Batch, ParamVector
 from .samplers import SamplerKind, SamplerState, record_outcome, select_batch
 from .tasks import (
@@ -321,6 +322,11 @@ class RunLog:
                     raise BadRecordError(i, problem)
 
     def to_tsv(self) -> str:
+        return self._tsv
+
+    @cached_property
+    def _tsv(self) -> str:
+        """The log's TSV text, formatted once: the records are frozen."""
         lines = ["\t".join(LOG_COLUMNS)]
         for r in self.records:
             lines.append(
@@ -507,6 +513,7 @@ class _Learner:
             record_outcome(self.sampler, task, before, after)
             for task, before, after in zip(self.batch, auc_before, auc_after)
         ]
+        observations, rewards = zip(*outcomes)
         self.records.append(
             MetaUpdateRecord(
                 iteration=iteration,
@@ -514,8 +521,8 @@ class _Learner:
                 tasks=tuple(t.id for t in self.batch),
                 auc_before=tuple(auc_before),
                 auc_after=tuple(auc_after),
-                observations=tuple(o.observation for o in outcomes),
-                rewards=tuple(o.reward for o in outcomes),
+                observations=observations,
+                rewards=rewards,
                 grad_norm=grad_norm,
             )
         )
@@ -558,8 +565,9 @@ def _meta_train_lockstep(arch, configs, data) -> list:
             objective, params, counts, trajectory, support, query, alpha, mode
         )
         prob_after = query_trace.probs[..., 1]  # the adapted params' class-1 softmax
-        auc_before = compute_auc(prob_before, query.labels).tolist()
-        auc_after = compute_auc(prob_after, query.labels).tolist()
+        # one call scores the before-rows stacked over the after-rows; rows are independent
+        aucs = compute_auc(np.concatenate([prob_before, prob_after]), np.concatenate([query.labels] * 2)).tolist()
+        auc_before, auc_after = aucs[: len(prob_before)], aucs[len(prob_before) :]
         norms = [float(np.linalg.norm(total)) for total in totals]
 
         np.multiply(totals, rates[:, None], out=totals)
@@ -653,6 +661,12 @@ def _fine_tune_lockstep(models, target_task, data, config, rng) -> list:
     arch = models[0].arch
     train = map_labels(target_task, data.train)
     val = map_labels(target_task, data.validation)
+    n_pos = int(val.labels.sum())
+    if n_pos in (0, len(val)):
+        raise DegenerateAucError(
+            f"the validation split needs both classes of task {target_task.id}, "
+            f"got {n_pos} positives and {len(val) - n_pos} negatives"
+        )
 
     def val_aucs(p):
         inputs = np.broadcast_to(val.inputs, (len(p),) + val.inputs.shape)

@@ -20,7 +20,6 @@ selection and recording mutate it and must not run concurrently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,14 +39,6 @@ class SamplerKind(str, Enum):
 
 class AllTaskBatchError(ValueError):
     """alltask sampling asked for a batch size different from the pool size."""
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """What one recorded adaptation contributed: its observation and reward."""
-
-    observation: float
-    reward: float
 
 
 class SamplerState:
@@ -108,8 +99,8 @@ def select_batch(state: SamplerState, task_pool, batch_size: int) -> list[TaskDe
 
 def record_outcome(
     state: SamplerState, task: TaskDefinition, auc_before: float, auc_after: float
-) -> OutcomeRecord:
-    """Record one adaptation outcome for ``task`` and return its (O, R) pair.
+) -> tuple[float, float]:
+    """Record one adaptation outcome for ``task`` and return its (observation, reward) pair.
 
     The observation is the raw difference auc_after - auc_before; the reward
     is the observation minus the task's previous observation (0 before the
@@ -125,4 +116,4 @@ def record_outcome(
     elif state.kind is SamplerKind.MAB:
         state.buffer(task.id).append(obs)
     state.last_observation[task.id] = obs
-    return OutcomeRecord(obs, rew)
+    return obs, rew

@@ -21,7 +21,7 @@ round-trip is bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -141,20 +141,18 @@ class Samples:
     def _task_view(self, task: TaskDefinition) -> tuple:
         """The eligible samples of ``task`` in split order, computed once per task value.
 
-        (features, positive mask, int labels, subject ids, subject ranks,
-        positions of the positives, of the negatives); a subject's rank is its
-        index among the distinct subject ids.
+        (features, positive mask, int labels, subject ranks, positions of the
+        positives, of the negatives); a subject's rank is its index among the
+        distinct subject ids.
         """
         if task not in self._views:
             eligible = np.flatnonzero(task._included[self.classes])
             positive = task._positive[self.classes[eligible]]
-            subjects = self.subjects[eligible]
             self._views[task] = view = (
                 self.features[eligible],
                 positive,
                 positive.astype(np.int64),
-                subjects,
-                np.unique(subjects, return_inverse=True)[1],
+                np.unique(self.subjects[eligible], return_inverse=True)[1],
                 np.flatnonzero(positive),
                 np.flatnonzero(~positive),
             )
@@ -291,15 +289,6 @@ class Episode:
     task: TaskDefinition
     support: Batch
     query: Batch
-    support_subjects: frozenset[int] = field(default_factory=frozenset)
-    query_subjects: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.support_subjects & self.query_subjects:
-            raise ValueError("support and query share subjects")
-        for name, batch in (("support", self.support), ("query", self.query)):
-            if len(set(batch.labels.tolist())) < 2:
-                raise ValueError(f"{name} set must contain both labels")
 
 
 def sample_episode(
@@ -320,7 +309,7 @@ def sample_episode(
         name, value = ("n_tr", n_tr) if n_tr < 2 else ("n_val", n_val)
         raise ValueError(f"{name} must be >= 2, got {value!r}")
     # work in positions 0..n-1 of the eligible samples, in pool order
-    features, positive, labels, subjects, rank, pos, neg = pool._task_view(task)
+    features, positive, labels, rank, pos, neg = pool._task_view(task)
     n = len(positive)
     if n < n_tr + n_val or len(pos) == 0 or len(neg) == 0:
         raise PoolExhaustedError(
@@ -356,8 +345,6 @@ def sample_episode(
             task,
             _trusted(Batch, features[support_idx], labels[support_idx]),
             _trusted(Batch, features[query_idx], labels[query_idx]),
-            frozenset(subjects[support_idx].tolist()),
-            frozenset(subjects[query_idx].tolist()),
         )
     raise PoolExhaustedError(
         f"pool exhausted for task {task.id}: no subject-disjoint stratified draw "

@@ -148,13 +148,7 @@ def reference_sample_episode(task, pool, n_tr, n_val, rng, max_attempts=200):
             np.stack([eligible[i].features for i in query_idx]),
             labels[query_idx],
         )
-        return Episode(
-            task,
-            support,
-            query,
-            frozenset(support_subj),
-            frozenset(int(subjects[i]) for i in query_idx),
-        )
+        return Episode(task, support, query)
     raise PoolExhaustedError(
         f"pool exhausted for task {task.id}: no subject-disjoint stratified draw "
         f"found in {max_attempts} attempts"

@@ -386,6 +386,23 @@ def test_fine_tune_bad_checkpoint_fails_naming_the_field(tmp_path, data_dir, tra
     assert "architecture.activation" in err
 
 
+def test_fine_tune_on_a_one_class_validation_split_names_the_split(tmp_path, data_dir, trained_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    header, *rows = (data / "validation.tsv").read_text().splitlines()
+    rows = [row.split("\t") for row in rows]
+    (data / "validation.tsv").write_text(
+        "\n".join([header, *("\t".join([row[0], "0", *row[2:]]) for row in rows)]) + "\n"
+    )  # every sample of class 0: no K5 positive
+    out = tmp_path / "out"
+    argv = ["fine-tune", "--out", str(out), "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(data)]
+    assert main([*argv, "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"[fine-tune] the validation split needs both classes of task K5, got 0 positives and {len(rows)} negatives\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag", [("fine-tune", "--checkpoint"), ("evaluate", "--checkpoint"), ("meta-train", "--config")]
 )

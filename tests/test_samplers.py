@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from curmeta.samplers import (
     BUFFER_CAPACITY,
     AllTaskBatchError,
-    OutcomeRecord,
     SamplerKind,
     SamplerState,
     record_outcome,
@@ -172,20 +171,15 @@ def test_buffered_selection_draws_once_per_pool_task():
 
 def test_record_outcome_observation_and_reward():
     state = SamplerState("cl")
-    first = record_outcome(state, POOL[0], 0.50, 0.80)
-    assert first == OutcomeRecord(pytest.approx(0.30), pytest.approx(0.30))
-    second = record_outcome(state, POOL[0], 0.60, 0.70)
+    assert record_outcome(state, POOL[0], 0.50, 0.80) == pytest.approx((0.30, 0.30))
     # reward subtracts the previous observation for the same task
-    assert second.observation == pytest.approx(0.10)
-    assert second.reward == pytest.approx(-0.20)
+    assert record_outcome(state, POOL[0], 0.60, 0.70) == pytest.approx((0.10, -0.20))
 
 
 def test_record_outcome_is_unclamped():
     state = SamplerState("mab")
     record_outcome(state, POOL[0], 0.0, 1.0)
-    rec = record_outcome(state, POOL[0], 1.0, 0.0)
-    assert rec.observation == -1.0
-    assert rec.reward == -2.0
+    assert record_outcome(state, POOL[0], 1.0, 0.0) == (-1.0, -2.0)
 
 
 def test_record_outcome_buffer_routing():
@@ -203,8 +197,8 @@ def test_record_outcome_buffer_routing():
 def test_record_outcome_random_and_alltask_skip_buffers():
     for kind in ("random", "alltask"):
         state = SamplerState(kind)
-        rec = record_outcome(state, POOL[2], 0.4, 0.9)
-        assert rec.observation == pytest.approx(0.5)
+        observation, _ = record_outcome(state, POOL[2], 0.4, 0.9)
+        assert observation == pytest.approx(0.5)
         assert not state.buffers.get("K3")
         # the last observation is still tracked so rewards remain defined
         assert state.last_observation["K3"] == pytest.approx(0.5)
@@ -213,8 +207,8 @@ def test_record_outcome_random_and_alltask_skip_buffers():
 def test_record_outcome_tracks_tasks_independently():
     state = SamplerState("cl")
     record_outcome(state, POOL[0], 0.5, 0.9)
-    rec = record_outcome(state, POOL[1], 0.5, 0.6)
-    assert rec.reward == pytest.approx(0.1)  # K2 has no prior observation
+    _, reward = record_outcome(state, POOL[1], 0.5, 0.6)
+    assert reward == pytest.approx(0.1)  # K2 has no prior observation
 
 
 def test_buffer_capacity_evicts_oldest():
@@ -246,10 +240,10 @@ def test_replay_matches_reference_implementation(kind):
             assert picked.id == ref_picked.id
             before = float(script.uniform(0.0, 1.0))
             after = float(script.uniform(0.0, 1.0))
-            rec = record_outcome(state, picked, before, after)
+            observation, reward = record_outcome(state, picked, before, after)
             ref_obs, ref_rew = ref.record(ref_picked, before, after)
-            assert rec.observation == pytest.approx(ref_obs, abs=1e-15)
-            assert rec.reward == pytest.approx(ref_rew, abs=1e-15)
+            assert observation == pytest.approx(ref_obs, abs=1e-15)
+            assert reward == pytest.approx(ref_rew, abs=1e-15)
         for task in POOL:
             assert list(state.buffers.get(task.id, [])) == pytest.approx(
                 ref.buffers.get(task.id, [])
@@ -282,8 +276,8 @@ def test_buffers_stay_bounded_and_selections_stay_in_pool(kind, seed, steps):
         picked = select_batch(state, POOL, 1)[0]
         assert picked in POOL
         before, after = rng.uniform(0, 1, size=2)
-        rec = record_outcome(state, picked, float(before), float(after))
-        assert -1.0 <= rec.observation <= 1.0
-        assert -2.0 <= rec.reward <= 2.0
+        observation, reward = record_outcome(state, picked, float(before), float(after))
+        assert -1.0 <= observation <= 1.0
+        assert -2.0 <= reward <= 2.0
     for buf in state.buffers.values():
         assert len(buf) <= BUFFER_CAPACITY

@@ -17,7 +17,6 @@ from curmeta.tasks import (
     K5,
     TASK_BY_ID,
     TASKS,
-    Episode,
     PoolExhaustedError,
     Samples,
     SourceConfig,
@@ -284,7 +283,6 @@ def test_sample_episode_contract(small_data):
         assert len(ep.support) == 4 and len(ep.query) == 4
         assert set(ep.support.labels.tolist()) == {0, 1}
         assert set(ep.query.labels.tolist()) == {0, 1}
-        assert not ep.support_subjects & ep.query_subjects
 
 
 def test_sample_episode_deterministic(small_data):
@@ -324,15 +322,27 @@ def test_sample_episode_pool_exhausted():
         sample_episode(K3, pool, 4, 4, rng)
 
 
-def test_sample_episode_never_overlaps_subjects(small_data):
-    # stress the disjointness invariant over ten thousand draws
-    rng = np.random.default_rng(123)
-    for _ in range(10_000):
-        ep = sample_episode(K1, small_data.train, 4, 4, rng)
-        assert not ep.support_subjects & ep.query_subjects
-
-
 SIZES = ((4, 4), (2, 2), (6, 3), (3, 6))
+
+
+def test_sample_episode_never_overlaps_subjects():
+    # map every drawn row back to its subject through the pool: support and
+    # query share no subject, and each holds both labels
+    rng = np.random.default_rng(123)
+    for samples_per_subject in (1, 2, 5):
+        pool = generate_source(SourceConfig(dim=3, seed=samples_per_subject), 117, samples_per_subject).train
+        subject_of = {row.tobytes(): s for row, s in zip(pool.features, pool.subjects.tolist())}
+        for task in TASKS:
+            for n_tr, n_val in SIZES:
+                for _ in range(100):
+                    ep = sample_episode(task, pool, n_tr, n_val, rng)
+                    support, query = (
+                        {subject_of[row.tobytes()] for row in batch.inputs} for batch in (ep.support, ep.query)
+                    )
+                    assert not support & query
+                    assert set(ep.support.labels.tolist()) == set(ep.query.labels.tolist()) == {0, 1}
+
+
 # what the draws below meet besides episodes: a pool too small for the sizes,
 # and subject-disjoint draws that fail every attempt
 EXHAUSTION = {(0, 1): {"size"}, (0, 2): {"attempts"}, (1, 1): {"size", "attempts"}}
@@ -361,23 +371,20 @@ def test_sample_episode_equals_object_list_reference(data_seed, samples_per_subj
             for got, want in ((ep.support, ref.support), (ep.query, ref.query)):
                 assert np.array_equal(got.inputs, want.inputs)
                 assert np.array_equal(got.labels, want.labels)
-            assert ep.support_subjects == ref.support_subjects
-            assert ep.query_subjects == ref.query_subjects
             outcomes.add("episode")
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert outcomes == {"episode"} | EXHAUSTION.get((data_seed, samples_per_subject), set())
 
 
 def test_sampled_episodes_pass_the_public_constructors():
-    # sample_episode builds its batches and episode unchecked; every one of
-    # them must be what the strict public constructors accept as they are
+    # sample_episode builds its batches unchecked; every one of them must be
+    # what the strict public constructor accepts as it is
     data = generate_source(SourceConfig(seed=4), 117)
     rng = np.random.default_rng(4)
     for i in range(2000 * len(TASKS)):
         task, (n_tr, n_val) = TASKS[i % 5], SIZES[i // 5 % 4]
         ep = sample_episode(task, data.train, n_tr, n_val, rng)
         rebuilt = [Batch(b.inputs, b.labels) for b in (ep.support, ep.query)]
-        Episode(task, *rebuilt, ep.support_subjects, ep.query_subjects)
         for got, want in zip((ep.support, ep.query), rebuilt):
             assert got.inputs.dtype == want.inputs.dtype and got.labels.dtype == want.labels.dtype
             assert np.array_equal(got.inputs, want.inputs)
@@ -408,18 +415,8 @@ def test_task_views_are_cached_per_task_value():
         for got, want in ((ep.support, ref.support), (ep.query, ref.query)):
             assert np.array_equal(got.inputs, want.inputs)
             assert np.array_equal(got.labels, want.labels)
-        assert (ep.support_subjects, ep.query_subjects) == (ref.support_subjects, ref.query_subjects)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert len(data.train._views) == 3
-
-
-def test_episode_validates_disjointness(small_data):
-    ep = sample_episode(K1, small_data.train, 4, 4, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        Episode(K1, ep.support, ep.query, frozenset({1, 2}), frozenset({2, 3}))
-    one_label = ep.support.inputs, np.zeros(4, dtype=int)
-    with pytest.raises(ValueError):
-        Episode(K1, Batch(*one_label), ep.query, frozenset({1}), frozenset({2}))
 
 
 # ---------------------------------------------------------------- streams
